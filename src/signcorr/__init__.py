@@ -12,56 +12,44 @@ from .mc import (
     hermite5,
     identity1,
     rotation3,
-    sweep_hermite5,
 )
 from .optimize import MaximizeResult, ScanResult, grid_scan, maximize_eta
 from .phi import (
     KRIVINE_BOUND,
     METHODS,
     THRESHOLD,
-    Constants,
     RotationFamily,
     VerificationReport,
-    integrand_polar,
     phi_i_bessel,
     phi_i_cartesian,
     phi_i_polar,
     phi_real_t,
     verify_theorem,
 )
-from .quad import (
-    NonConvergenceError,
-    QuadResult,
-    TruncationPolicy,
-    integrate_1d,
-    integrate_2d,
-    integrate_semi_inf,
-)
+from .quad import NonConvergenceError, QuadResult, integrate_1d, integrate_2d
 from .series import (
     AlternationVerdict,
     OddSeries,
     alternation_check,
-    compose_odd,
     conditional_bound,
     mehler_coefficients,
     revert_odd_series,
 )
-from .specfun import arcsin_coeff, argsinh, bessel_j0, hermite_prob
+from .specfun import arcsin_coeff, bessel_j0, hermite_prob
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    "hermite_prob", "arcsin_coeff", "argsinh", "bessel_j0",
-    "QuadResult", "TruncationPolicy", "NonConvergenceError",
-    "integrate_1d", "integrate_semi_inf", "integrate_2d",
-    "RotationFamily", "Constants", "VerificationReport",
+    "hermite_prob", "arcsin_coeff", "bessel_j0",
+    "QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d",
+    "RotationFamily", "VerificationReport",
     "THRESHOLD", "KRIVINE_BOUND", "METHODS",
-    "integrand_polar", "phi_i_polar", "phi_i_cartesian", "phi_i_bessel",
+    "phi_i_polar", "phi_i_cartesian", "phi_i_bessel",
     "phi_real_t", "verify_theorem",
     "OddSeries", "AlternationVerdict", "mehler_coefficients",
-    "revert_odd_series", "alternation_check", "conditional_bound", "compose_odd",
+    "revert_odd_series", "alternation_check", "conditional_bound",
     "Family", "McEstimate", "identity1", "rotation3", "hermite5",
-    "estimate_phi_t", "estimate_phi_i", "sweep_hermite5",
+    "estimate_phi_t", "estimate_phi_i",
     "ScanResult", "MaximizeResult", "grid_scan", "maximize_eta",
 ]

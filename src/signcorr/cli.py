@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .mc import estimate_phi_i, estimate_phi_t, hermite5, identity1, rotation3
-from .optimize import grid_scan, maximize_eta, worker_count
+from .optimize import grid_scan, maximize_eta
 from .phi import (
     METHODS,
     THRESHOLD,
@@ -334,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        worker_count()
         fmt = _resolve_format(args.format)
         code, text = _HANDLERS[args.command](args, fmt)
     except (_UsageError, ValueError) as exc:

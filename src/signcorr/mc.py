@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .phi import RotationFamily
 from .specfun import hermite_prob
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "hermite5",
     "estimate_phi_t",
     "estimate_phi_i",
-    "sweep_hermite5",
 ]
 
 _U64 = np.uint64
@@ -71,9 +71,7 @@ def identity1() -> Family:
 def rotation3(eta: float) -> Family:
     """n = 3: coordinates 1, 2 mixed by the angle eps (x0^2 - 1), eps = eta/2,
     with opposite mixing orientation between F and G."""
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
-    eps = eta / 2.0
+    eps = RotationFamily(eta).epsilon
 
     def F(x):
         a = eps * hermite_prob(2, x[:, 0])
@@ -179,13 +177,3 @@ def estimate_phi_i(family: Family, samples: int, seed: int) -> McEstimate:
         return scale * np.sign(family.F(xi)) * np.sign(family.G(zeta)) * np.sin(0.5 * inner)
 
     return _accumulate(family, samples, seed, weights)
-
-
-def sweep_hermite5(
-    epsilons, samples: int, seed: int
-) -> list[tuple[float, McEstimate]]:
-    """estimate_phi_i for the hermite5 family at each epsilon, same seed."""
-    out = []
-    for eps in epsilons:
-        out.append((float(eps), estimate_phi_i(hermite5(float(eps)), samples, seed)))
-    return out

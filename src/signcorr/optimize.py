@@ -5,8 +5,6 @@ with a unimodality pre-check.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,31 +45,6 @@ class MaximizeResult:
     evaluations: int
 
 
-def worker_count() -> int:
-    """Worker threads for grid evaluations, from SIGNCORR_THREADS (default 1).
-
-    Results are identical for any count: evaluations are pure and assembled
-    in index order.
-    """
-    raw = os.environ.get("SIGNCORR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SIGNCORR_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"SIGNCORR_THREADS must be >= 1, got {n}")
-    return n
-
-
-def _evaluate_grid(etas, tol: float) -> list[QuadResult]:
-    run = lambda e: phi_i_bessel(RotationFamily(float(e)), tol)
-    workers = worker_count()
-    if workers == 1 or len(etas) == 1:
-        return [run(e) for e in etas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, etas))
-
-
 def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult:
     """Evaluate Phi(i)/i at steps+1 equispaced eta values on [lo, hi].
 
@@ -85,7 +58,7 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
-    results = _evaluate_grid(etas, tol)
+    results = [phi_i_bessel(RotationFamily(e), tol) for e in etas]
     points = tuple(
         (e, r.value, r.error_estimate) for e, r in zip(etas, results)
     )
@@ -131,9 +104,7 @@ def maximize_eta(
         return finish(True)
 
     grid = [float(e) for e in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    for r, e in zip(_evaluate_grid(grid, quad_tol), grid):
-        cache[e] = r
-    vals = [cache[e].value for e in grid]
+    vals = [value(e) for e in grid]
     errs = [cache[e].error_estimate for e in grid]
     peak = max(range(len(grid)), key=lambda i: vals[i])
     unimodal = True

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadResult, TruncationPolicy, integrate_1d, integrate_2d
-from .specfun import argsinh, bessel_j0
+from .quad import QuadResult, integrate_1d, integrate_2d
+from .specfun import bessel_j0
 
 __all__ = [
     "THRESHOLD",
     "KRIVINE_BOUND",
-    "Constants",
     "RotationFamily",
     "VerificationReport",
-    "integrand_polar",
     "phi_i_polar",
     "phi_i_cartesian",
     "phi_i_bessel",
@@ -34,22 +32,19 @@ __all__ = [
 # (2/pi) ln(1+sqrt 2): the value of Phi(i)/i at eta = 0, and the bar every
 # family must clear. Its reciprocal pi/(2 ln(1+sqrt 2)) = 1.7822... is the
 # classical sign-rounding bound.
-THRESHOLD = 2.0 / math.pi * argsinh(1.0)
-KRIVINE_BOUND = math.pi / (2.0 * argsinh(1.0))
+THRESHOLD = 2.0 / math.pi * math.asinh(1.0)
+KRIVINE_BOUND = math.pi / (2.0 * math.asinh(1.0))
 
-_ASINH1 = argsinh(1.0)
+_ASINH1 = math.asinh(1.0)
 _PREFACTOR = 2.0 * math.sqrt(2.0) / math.pi**2  # polar and folded-Cartesian forms
 _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
 
+# truncated domains: rho in [0, _CUTOFF] for the radial routes, the square
+# [-_BOX, _BOX]^2 for the Cartesian (folded to one quadrant) and real-t routes
+_CUTOFF = 100.0
+_BOX = 14.0
+
 METHODS = ("polar", "cartesian", "bessel")
-
-
-@dataclass(frozen=True)
-class Constants:
-    """The threshold and its reciprocal bound as one record."""
-
-    threshold: float = THRESHOLD
-    krivine_bound: float = KRIVINE_BOUND
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ class VerificationReport:
     passed: bool
 
 
-def integrand_polar(eta: float, rho, theta):
+def _integrand_polar(eta: float, rho, theta):
     """argsinh(cos(eta(2 rho - 1))) e^{-rho} cos(rho sin theta), elementwise."""
     return (
         np.arcsinh(np.cos(eta * (2.0 * rho - 1.0)))
@@ -93,26 +88,18 @@ def integrand_polar(eta: float, rho, theta):
     )
 
 
-def phi_i_polar(
-    family: RotationFamily,
-    tol: float = 1e-9,
-    policy: TruncationPolicy | None = None,
-) -> QuadResult:
+def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
-    [0, cutoff] x [0, pi], with the radial tail charged to the error."""
-    if policy is None:
-        policy = TruncationPolicy()
+    [0, _CUTOFF] x [0, pi], with the radial tail charged to the error."""
     eta = family.eta
     r = integrate_2d(
-        lambda rho, th: integrand_polar(eta, rho, th),
-        (0.0, policy.cutoff),
+        lambda rho, th: _integrand_polar(eta, rho, th),
+        (0.0, _CUTOFF),
         (0.0, math.pi),
         tol / _PREFACTOR,
     )
-    tail = policy.tail_bound
-    if tail == 0.0:
-        # |integrand| <= argsinh(1) e^{-rho}, integrated over the theta range
-        tail = _ASINH1 * math.pi * math.exp(-policy.cutoff)
+    # |integrand| <= argsinh(1) e^{-rho}, integrated over the theta range
+    tail = _ASINH1 * math.pi * math.exp(-_CUTOFF)
     return QuadResult(
         _PREFACTOR * r.value,
         _PREFACTOR * (r.error_estimate + tail),
@@ -121,12 +108,10 @@ def phi_i_polar(
     )
 
 
-def phi_i_cartesian(
-    family: RotationFamily, tol: float = 1e-9, box: float = 14.0
-) -> QuadResult:
+def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as the plane integral of
     argsinh(cos(eps(x^2+y^2-2))) e^{-(x^2+y^2)/4} cos(xy/2) / (sqrt2 pi^2),
-    folded to [0, box]^2 (the integrand is even in x and in y separately)."""
+    folded to [0, _BOX]^2 (the integrand is even in x and in y separately)."""
     eps = family.epsilon
 
     def f(x, y):
@@ -136,10 +121,10 @@ def phi_i_cartesian(
             * np.cos(x * y / 2.0)
         )
 
-    r = integrate_2d(f, (0.0, box), (0.0, box), tol / _PREFACTOR)
+    r = integrate_2d(f, (0.0, _BOX), (0.0, _BOX), tol / _PREFACTOR)
     # Gaussian tail outside the box, with the plane prefactor folded in;
-    # box = 14 puts this near 1e-22
-    tail = 8.0 * _ASINH1 * math.sqrt(math.pi) / box * math.exp(-box * box / 4.0)
+    # _BOX = 14 puts this near 1e-22
+    tail = 8.0 * _ASINH1 * math.sqrt(math.pi) / _BOX * math.exp(-_BOX * _BOX / 4.0)
     return QuadResult(
         _PREFACTOR * r.value,
         _PREFACTOR * r.error_estimate + tail,
@@ -148,24 +133,16 @@ def phi_i_cartesian(
     )
 
 
-def phi_i_bessel(
-    family: RotationFamily,
-    tol: float = 1e-9,
-    policy: TruncationPolicy | None = None,
-) -> QuadResult:
+def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral against
     e^{-rho} J0(rho); the theta integral collapses to pi J0(rho)."""
-    if policy is None:
-        policy = TruncationPolicy()
     eta = family.eta
 
     def g(rho):
         return np.arcsinh(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rho) * bessel_j0(rho)
 
-    inner = integrate_1d(g, 0.0, policy.cutoff, tol / _PREFACTOR_BESSEL)
-    tail = policy.tail_bound
-    if tail == 0.0:
-        tail = _ASINH1 * math.exp(-policy.cutoff)
+    inner = integrate_1d(g, 0.0, _CUTOFF, tol / _PREFACTOR_BESSEL)
+    tail = _ASINH1 * math.exp(-_CUTOFF)
     return QuadResult(
         _PREFACTOR_BESSEL * inner.value,
         _PREFACTOR_BESSEL * (inner.error_estimate + tail),
@@ -174,9 +151,7 @@ def phi_i_bessel(
     )
 
 
-def phi_real_t(
-    family: RotationFamily, t: float, tol: float = 1e-9, box: float = 14.0
-) -> QuadResult:
+def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
     """Phi(t) for real |t| < 1: (2/pi) times the integral of
     arcsin(t cos(eps(x^2+y^2-2))) against the correlated Gaussian density."""
     if not abs(t) < 1:
@@ -196,9 +171,9 @@ def phi_real_t(
 
     pref = 2.0 / math.pi
     # the cross term breaks separate evenness, so integrate the full square
-    r = integrate_2d(f, (-box, box), (-box, box), tol / pref)
+    r = integrate_2d(f, (-_BOX, _BOX), (-_BOX, _BOX), tol / pref)
     # density quadratic form >= (x^2+y^2)/4, |arcsin| <= pi/2
-    tail = 8.0 * math.exp(-box * box / 4.0) / math.sqrt(omt2)
+    tail = 8.0 * math.exp(-_BOX * _BOX / 4.0) / math.sqrt(omt2)
     return QuadResult(
         pref * r.value, pref * r.error_estimate + tail, r.evaluations, r.method
     )

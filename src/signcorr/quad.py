@@ -13,14 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "QuadResult",
-    "TruncationPolicy",
-    "NonConvergenceError",
-    "integrate_1d",
-    "integrate_semi_inf",
-    "integrate_2d",
-]
+__all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
 
 
 class NonConvergenceError(RuntimeError):
@@ -38,24 +31,6 @@ class QuadResult:
     error_estimate: float
     evaluations: int
     method: str
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Truncation of a semi-infinite axis at `cutoff`.
-
-    tail_bound, when positive, is a caller-supplied envelope of the discarded
-    tail; when zero the integrator derives e^{-rate*cutoff}/rate itself.
-    """
-
-    cutoff: float = 100.0
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        if not (self.cutoff > 0):
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if not (self.tail_bound >= 0):
-            raise ValueError(f"tail_bound must be >= 0, got {self.tail_bound}")
 
 
 # Gauss-Kronrod (7, 15) on [-1, 1]: Kronrod nodes/weights for the positive
@@ -193,36 +168,6 @@ def integrate_1d(
         return QuadResult(0.0, 0.0, 0, "adaptive-1d")
     value, err, nev = _adaptive(f, float(a), float(b), tol, min_panels, max_evals)
     return QuadResult(value, err, nev, "adaptive-1d")
-
-
-def integrate_semi_inf(
-    f: Callable,
-    envelope_rate: float,
-    tol: float,
-    policy: TruncationPolicy | None = None,
-    *,
-    min_panels: int = 1,
-    max_evals: int = 10**6,
-) -> QuadResult:
-    """Integrate f over [0, inf) assuming |f(x)| <~ e^{-envelope_rate x}.
-
-    The integral is computed on [0, policy.cutoff] and the discarded tail is
-    charged to the error estimate: policy.tail_bound when given, otherwise
-    e^{-envelope_rate*cutoff}/envelope_rate.
-    """
-    if not envelope_rate > 0:
-        raise ValueError(f"envelope_rate must be positive, got {envelope_rate}")
-    if policy is None:
-        policy = TruncationPolicy()
-    inner = integrate_1d(
-        f, 0.0, policy.cutoff, tol, min_panels=min_panels, max_evals=max_evals
-    )
-    tail = policy.tail_bound
-    if tail == 0.0:
-        tail = math.exp(-envelope_rate * policy.cutoff) / envelope_rate
-    return QuadResult(
-        inner.value, inner.error_estimate + tail, inner.evaluations, "semi-infinite"
-    )
 
 
 def integrate_2d(

@@ -20,7 +20,6 @@ __all__ = [
     "revert_odd_series",
     "alternation_check",
     "conditional_bound",
-    "compose_odd",
 ]
 
 _MAX_ORDER = 15
@@ -181,7 +180,7 @@ def revert_odd_series(c: OddSeries) -> OddSeries:
     return OddSeries(tuple(b[k] for k in range(1, K + 1, 2)), K)
 
 
-def compose_odd(outer: OddSeries, inner: OddSeries) -> OddSeries:
+def _compose_odd(outer: OddSeries, inner: OddSeries) -> OddSeries:
     """Coefficients of outer(inner(t)) through the smaller max_order."""
     K = min(outer.max_order, inner.max_order)
     powers = _powers_of(_dense(inner)[: K + 1], K)

@@ -1,5 +1,5 @@
 """Scalar special functions: probabilists' Hermite polynomials, arcsin
-Maclaurin coefficients, argsinh, and the Bessel function J0.
+Maclaurin coefficients, and the Bessel function J0.
 
 Everything here is pure and re-entrant; array inputs are handled elementwise.
 """
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-__all__ = ["hermite_prob", "arcsin_coeff", "argsinh", "bessel_j0"]
+__all__ = ["hermite_prob", "arcsin_coeff", "bessel_j0"]
 
 _ARCSIN_COEFF_MAX = 64
 
@@ -56,15 +56,6 @@ def arcsin_coeff(j: int) -> float:
     if j < 0 or j > _ARCSIN_COEFF_MAX:
         raise ValueError(f"index must be in [0, {_ARCSIN_COEFF_MAX}], got {j}")
     return _ARCSIN_COEFFS[j]
-
-
-def argsinh(x: float) -> float:
-    """Inverse hyperbolic sine, ln(x + sqrt(x^2 + 1)).
-
-    Delegates to the C library asinh, which is odd by construction and
-    therefore stable for large-magnitude negative arguments.
-    """
-    return math.asinh(x)
 
 
 # J0 power-series branch: coefficients of sum_k (-1)^k z^k / (k!)^2, z = (x/2)^2,

@@ -13,7 +13,6 @@ from signcorr import (
     identity1,
     phi_i_bessel,
     rotation3,
-    sweep_hermite5,
 )
 
 
@@ -42,7 +41,7 @@ class TestFamilies:
         assert fam.n == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta must be finite"):
             rotation3(math.nan)
         with pytest.raises(ValueError):
             hermite5(-0.1)
@@ -124,21 +123,6 @@ class TestStderr:
         est = estimate_phi_t(identity1(), 0.5, 1, 0)
         assert est.stderr == 0.0
         assert est.mean in (-1.0, 1.0)
-
-
-class TestSweep:
-    def test_shape_and_determinism(self):
-        eps = [0.0, 0.05, 0.1]
-        rows = sweep_hermite5(eps, 20000, 13)
-        assert [e for e, _ in rows] == eps
-        again = sweep_hermite5(eps, 20000, 13)
-        for (_, a), (_, b) in zip(rows, again):
-            assert a.mean == b.mean
-
-    def test_zero_entry_matches_direct(self):
-        rows = sweep_hermite5([0.0], 20000, 13)
-        direct = estimate_phi_i(hermite5(0.0), 20000, 13)
-        assert rows[0][1].mean == direct.mean
 
 
 class TestValidation:

@@ -10,25 +10,8 @@ from signcorr import (
     maximize_eta,
     phi_i_bessel,
 )
-from signcorr.optimize import worker_count
 
 ETA_STAR_REF = 0.227560943876
-
-
-class TestWorkerCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("SIGNCORR_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv("SIGNCORR_THREADS", "4")
-        assert worker_count() == 4
-
-    @pytest.mark.parametrize("bad", ["zero", "1.5", "0", "-2", ""])
-    def test_rejects_bad_values(self, monkeypatch, bad):
-        monkeypatch.setenv("SIGNCORR_THREADS", bad)
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestGridScan:
@@ -66,13 +49,6 @@ class TestGridScan:
         a = grid_scan(0.0, 0.4, 8)
         b = grid_scan(0.0, 0.4, 8)
         assert a.points == b.points
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("SIGNCORR_THREADS", raising=False)
-        serial = grid_scan(0.0, 0.4, 12)
-        monkeypatch.setenv("SIGNCORR_THREADS", "4")
-        threaded = grid_scan(0.0, 0.4, 12)
-        assert serial.points == threaded.points
 
     def test_validation(self):
         with pytest.raises(ValueError):

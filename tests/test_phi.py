@@ -12,16 +12,14 @@ from signcorr import (
     KRIVINE_BOUND,
     METHODS,
     THRESHOLD,
-    Constants,
     RotationFamily,
-    TruncationPolicy,
-    integrand_polar,
     phi_i_bessel,
     phi_i_cartesian,
     phi_i_polar,
     phi_real_t,
     verify_theorem,
 )
+from signcorr.phi import _integrand_polar
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
 V_REF = {
@@ -45,11 +43,6 @@ class TestConstants:
         assert KRIVINE_BOUND == pytest.approx(1.7822139781913691118, abs=2e-16)
         assert THRESHOLD * KRIVINE_BOUND == pytest.approx(1.0, abs=1e-15)
 
-    def test_constants_record(self):
-        c = Constants()
-        assert c.threshold == THRESHOLD
-        assert c.krivine_bound == KRIVINE_BOUND
-
 
 class TestRotationFamily:
     def test_epsilon_is_half_eta(self):
@@ -70,19 +63,19 @@ class TestIntegrandPolar:
                 * math.exp(-rho)
                 * math.cos(rho * math.sin(theta))
             )
-            assert integrand_polar(eta, rho, theta) == pytest.approx(expected, rel=1e-15)
+            assert _integrand_polar(eta, rho, theta) == pytest.approx(expected, rel=1e-15)
 
     def test_vectorized(self):
         rho = np.linspace(0.0, 5.0, 7)
         theta = np.linspace(0.0, math.pi, 7)
-        out = integrand_polar(0.3, rho, theta)
+        out = _integrand_polar(0.3, rho, theta)
         assert out.shape == rho.shape
         assert out[0] == pytest.approx(math.asinh(math.cos(0.3)), rel=1e-15)
 
     def test_envelope(self):
         rho = np.linspace(0.0, 30.0, 500)
         theta = np.linspace(0.0, math.pi, 500)
-        vals = integrand_polar(0.7, rho[:, None], theta[None, :])
+        vals = _integrand_polar(0.7, rho[:, None], theta[None, :])
         bound = math.asinh(1.0) * np.exp(-rho)[:, None]
         assert np.all(np.abs(vals) <= bound + 1e-15)
 
@@ -132,14 +125,6 @@ class TestPhiIRoutes:
         tight = phi_i_bessel(family, 1e-12)
         assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
         assert tight.error_estimate < loose.error_estimate + 1e-12
-
-    def test_policy_override(self):
-        family = RotationFamily(0.228)
-        default = phi_i_bessel(family)
-        short = phi_i_bessel(family, policy=TruncationPolicy(cutoff=40.0))
-        # a shorter cutoff costs a larger charged tail but the same value
-        assert abs(short.value - default.value) <= short.error_estimate
-        assert short.error_estimate > default.error_estimate
 
     def test_methods_labelled(self):
         family = RotationFamily(0.1)

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from signcorr import (
     NonConvergenceError,
     QuadResult,
-    TruncationPolicy,
     bessel_j0,
     integrate_1d,
     integrate_2d,
-    integrate_semi_inf,
 )
 
 INV_SQRT2 = 0.7071067811865475244
@@ -44,6 +42,11 @@ class TestIntegrate1d:
              (1.0 - math.exp(-20.0) * (math.cos(200.0) - 10.0 * math.sin(200.0))) / 101.0),
             (lambda x: 1.0 / (1.0 + x * x), -4.0, 4.0, 2.0 * math.atan(4.0)),
             (lambda x: np.sqrt(np.abs(x)), 0.0, 1.0, 2.0 / 3.0),
+            # semi-infinite integrals truncated at 100, where the tails are
+            # below e^{-100}
+            (lambda x: np.exp(-x), 0.0, 100.0, 1.0),
+            (lambda x: np.exp(-x) * bessel_j0(x), 0.0, 100.0, INV_SQRT2),
+            (lambda x: np.exp(-x) * np.cos(x), 0.0, 100.0, 0.5),
         ],
     )
     def test_honest_error_estimate(self, f, a, b, truth):
@@ -98,46 +101,6 @@ class TestIntegrate1d:
         assert r.value == pytest.approx(scale / 2.0 + shift, rel=1e-13, abs=1e-13)
 
 
-class TestIntegrateSemiInf:
-    def test_pure_exponential(self):
-        r = integrate_semi_inf(lambda x: np.exp(-x), 1.0, 1e-12)
-        assert r.value == pytest.approx(1.0, rel=1e-12)
-        assert r.method == "semi-infinite"
-
-    def test_exponential_times_j0(self):
-        # int_0^inf e^{-x} J0(x) dx = 1/sqrt(2)
-        r = integrate_semi_inf(lambda x: np.exp(-x) * bessel_j0(x), 1.0, 1e-12)
-        assert r.value == pytest.approx(INV_SQRT2, abs=1e-12)
-        assert abs(r.value - INV_SQRT2) <= r.error_estimate
-
-    def test_damped_oscillation(self):
-        # int_0^inf e^{-x} cos x dx = 1/2
-        r = integrate_semi_inf(lambda x: np.exp(-x) * np.cos(x), 1.0, 1e-12)
-        assert r.value == pytest.approx(0.5, abs=1e-12)
-
-    def test_policy_cutoff_and_tail(self):
-        short = TruncationPolicy(cutoff=10.0)
-        r = integrate_semi_inf(lambda x: np.exp(-x), 1.0, 1e-13, policy=short)
-        # truncation at 10 loses e^{-10}; the tail bound must cover it
-        assert abs(r.value - 1.0) <= r.error_estimate
-        assert r.error_estimate >= math.exp(-10.0)
-
-    def test_explicit_tail_bound_wins(self):
-        p = TruncationPolicy(cutoff=30.0, tail_bound=0.125)
-        r = integrate_semi_inf(lambda x: np.exp(-x), 1.0, 1e-12, policy=p)
-        assert r.error_estimate >= 0.125
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            integrate_semi_inf(lambda x: np.exp(-x), 0.0, 1e-10)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(cutoff=-1.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(cutoff=10.0, tail_bound=-0.5)
-
-
 class TestIntegrate2d:
     def test_separable_polynomial(self):
         r = integrate_2d(lambda x, y: x * y, (0.0, 1.0), (0.0, 1.0), 1e-12)
@@ -177,8 +140,3 @@ class TestQuadResult:
         assert r.value == 1.0
         with pytest.raises(AttributeError):
             r.value = 2.0
-
-    def test_truncation_policy_defaults(self):
-        p = TruncationPolicy()
-        assert p.cutoff == 100.0
-        assert p.tail_bound == 0.0

@@ -1,4 +1,4 @@
-"""Special functions: Hermite polynomials, arcsin coefficients, argsinh, J0."""
+"""Special functions: Hermite polynomials, arcsin coefficients, J0."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from signcorr import arcsin_coeff, argsinh, bessel_j0, hermite_prob, integrate_1d
+from signcorr import arcsin_coeff, bessel_j0, hermite_prob, integrate_1d
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
 J0_TABLE = {
@@ -107,22 +107,6 @@ class TestArcsinCoeff:
             arcsin_coeff(-1)
         with pytest.raises(ValueError):
             arcsin_coeff(65)
-
-
-class TestArgsinh:
-    def test_anchor(self):
-        # argsinh(1) = ln(1 + sqrt 2)
-        assert argsinh(1.0) == pytest.approx(0.88137358701954302523, rel=1e-16)
-        assert argsinh(1.0) == pytest.approx(math.log(1.0 + math.sqrt(2.0)), rel=1e-15)
-        assert argsinh(0.0) == 0.0
-
-    @given(st.floats(-20, 20))
-    def test_sinh_round_trip(self, x):
-        assert argsinh(math.sinh(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-    @given(st.floats(0.001, 50))
-    def test_odd(self, x):
-        assert argsinh(-x) == -argsinh(x)
 
 
 class TestBesselJ0:
