@@ -122,8 +122,6 @@ def _cmd_sweep(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if lo > hi:
         raise _UsageError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
-    if args.steps < 0:
-        raise _UsageError(f"--steps must be >= 0, got {args.steps}")
     scan = grid_scan(lo, hi, args.steps, args.tol)
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]

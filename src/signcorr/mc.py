@@ -39,7 +39,7 @@ _INV_2_53 = 2.0**-53
 
 @dataclass(frozen=True)
 class Family:
-    """An odd pair F, G: R^n -> R with its dimension and parameter.
+    """An odd pair F, G: R^n -> R with its name and dimension.
 
     F and G take an (N, n) array of points and return N values.
     """
@@ -48,8 +48,6 @@ class Family:
     n: int
     F: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     G: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    param_name: str | None = None
-    param_value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def rotation3(eta: float) -> Family:
         a = eps * hermite_prob(2, y[:, 0])
         return y[:, 1] * np.cos(a) - y[:, 2] * np.sin(a)
 
-    return Family("rotation3", 3, F, G, "eta", eta)
+    return Family("rotation3", 3, F, G)
 
 
 def hermite5(epsilon: float) -> Family:
@@ -92,7 +90,7 @@ def hermite5(epsilon: float) -> Family:
     def F(x):
         return x[:, 0] + epsilon * hermite_prob(5, x[:, 1])
 
-    return Family("hermite5", 2, F, F, "epsilon", epsilon)
+    return Family("hermite5", 2, F, F)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

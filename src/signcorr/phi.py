@@ -4,7 +4,9 @@ Phi(t) is the expected product of signs of F and G applied to coordinatewise
 t-correlated Gaussian vectors, where the family mixes two coordinates by the
 angle eps*(x^2 - 1) of a third. Phi(i)/i is real; this module evaluates it by
 three independent quadrature routes and verifies that it clears the
-(2/pi) ln(1+sqrt 2) threshold.
+(2/pi) ln(1+sqrt 2) threshold. On both axes the angular integral collapses to
+a Bessel kernel, J0 at t = i and I0 at real t, so one radial integral gives
+Phi(i)/i and Phi(t).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import QuadResult, integrate_1d, integrate_2d
-from .specfun import bessel_j0
+from .specfun import _bessel_i0e, bessel_j0
 
 __all__ = [
     "THRESHOLD",
@@ -39,8 +41,8 @@ _ASINH1 = math.asinh(1.0)
 _PREFACTOR = 2.0 * math.sqrt(2.0) / math.pi**2  # polar and folded-Cartesian forms
 _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
 
-# truncated domains: rho in [0, _CUTOFF] for the radial routes, the square
-# [-_BOX, _BOX]^2 for the Cartesian (folded to one quadrant) and real-t routes
+# truncated domains: rho in [0, _CUTOFF] for the radial integrals, the square
+# [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
 _CUTOFF = 100.0
 _BOX = 14.0
 
@@ -104,7 +106,6 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
         _PREFACTOR * r.value,
         _PREFACTOR * (r.error_estimate + tail),
         r.evaluations,
-        r.method,
     )
 
 
@@ -129,53 +130,48 @@ def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
         _PREFACTOR * r.value,
         _PREFACTOR * r.error_estimate + tail,
         r.evaluations,
-        r.method,
     )
+
+
+def _radial(family, outer, rate, kernel, pref, bound, tol) -> QuadResult:
+    """pref times the integral over [0, _CUTOFF] of
+    outer(cos(eta(2 rho - 1))) e^{-rate rho} kernel(rho) d rho. With
+    |outer| <= bound and |kernel| <= 1, the tail beyond _CUTOFF is at most
+    bound e^{-rate _CUTOFF} / rate, which is charged to the error."""
+    eta = family.eta
+
+    def g(rho):
+        return outer(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rate * rho) * kernel(rho)
+
+    r = integrate_1d(g, 0.0, _CUTOFF, tol / pref)
+    tail = bound * math.exp(-rate * _CUTOFF) / rate
+    return QuadResult(pref * r.value, pref * (r.error_estimate + tail), r.evaluations)
 
 
 def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral against
     e^{-rho} J0(rho); the theta integral collapses to pi J0(rho)."""
-    eta = family.eta
-
-    def g(rho):
-        return np.arcsinh(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rho) * bessel_j0(rho)
-
-    inner = integrate_1d(g, 0.0, _CUTOFF, tol / _PREFACTOR_BESSEL)
-    tail = _ASINH1 * math.exp(-_CUTOFF)
-    return QuadResult(
-        _PREFACTOR_BESSEL * inner.value,
-        _PREFACTOR_BESSEL * (inner.error_estimate + tail),
-        inner.evaluations,
-        "semi-infinite",
-    )
+    return _radial(family, np.arcsinh, 1.0, bessel_j0, _PREFACTOR_BESSEL, _ASINH1, tol)
 
 
 def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
     """Phi(t) for real |t| < 1: (2/pi) times the integral of
-    arcsin(t cos(eps(x^2+y^2-2))) against the correlated Gaussian density."""
+    arcsin(t cos(eps(x^2+y^2-2))) against the t-correlated Gaussian density.
+    In polar coordinates about the diagonals the angular integral is I0, so
+    Phi(t) = 4 / (pi sqrt(1-t^2)) * int_0^inf arcsin(t cos(eta(2 rho - 1)))
+    e^{-2 rho/(1+|t|)} e^{-x} I0(x) d rho, x = 2 |t| rho / (1-t^2)."""
     if not abs(t) < 1:
         raise ValueError(f"need |t| < 1, got t={t}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    eps = family.epsilon
     omt2 = 1.0 - t * t
-    norm = 1.0 / (2.0 * math.pi * math.sqrt(omt2))
-
-    def f(x, y):
-        return (
-            np.arcsin(t * np.cos(eps * (x * x + y * y - 2.0)))
-            * np.exp(-(x * x + y * y - 2.0 * t * x * y) / (2.0 * omt2))
-            * norm
-        )
-
-    pref = 2.0 / math.pi
-    # the cross term breaks separate evenness, so integrate the full square
-    r = integrate_2d(f, (-_BOX, _BOX), (-_BOX, _BOX), tol / pref)
-    # density quadratic form >= (x^2+y^2)/4, |arcsin| <= pi/2
-    tail = 8.0 * math.exp(-_BOX * _BOX / 4.0) / math.sqrt(omt2)
-    return QuadResult(
-        pref * r.value, pref * r.error_estimate + tail, r.evaluations, r.method
+    scale = 2.0 * abs(t) / omt2
+    return _radial(
+        family,
+        lambda c: np.arcsin(t * c),
+        2.0 / (1.0 + abs(t)),
+        lambda rho: _bessel_i0e(scale * rho),
+        4.0 / (math.pi * math.sqrt(omt2)),
+        math.asin(abs(t)),
+        tol,
     )
 
 

@@ -22,15 +22,11 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral value with a conservative error estimate.
-
-    method is one of "adaptive-1d", "tensor-2d", "semi-infinite".
-    """
+    """Integral value with a conservative error estimate."""
 
     value: float
     error_estimate: float
     evaluations: int
-    method: str
 
 
 # Gauss-Kronrod (7, 15) on [-1, 1]: Kronrod nodes/weights for the positive
@@ -71,6 +67,7 @@ _WK15 = np.array(_WK_HALF[:0:-1] + _WK_HALF)
 _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
+_INNER_MIN_PANELS = 8
 
 
 def _adaptive(
@@ -151,7 +148,6 @@ def integrate_1d(
     b: float,
     tol: float,
     *,
-    min_panels: int = 1,
     max_evals: int = 10**6,
 ) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
@@ -162,12 +158,10 @@ def integrate_1d(
     NonConvergenceError.
     """
     _check_interval(a, b, tol)
-    if min_panels < 1:
-        raise ValueError(f"min_panels must be >= 1, got {min_panels}")
     if a == b:
-        return QuadResult(0.0, 0.0, 0, "adaptive-1d")
-    value, err, nev = _adaptive(f, float(a), float(b), tol, min_panels, max_evals)
-    return QuadResult(value, err, nev, "adaptive-1d")
+        return QuadResult(0.0, 0.0, 0)
+    value, err, nev = _adaptive(f, float(a), float(b), tol, 1, max_evals)
+    return QuadResult(value, err, nev)
 
 
 def integrate_2d(
@@ -176,24 +170,23 @@ def integrate_2d(
     y_range: Sequence[float],
     tol: float,
     *,
-    inner_min_panels: int = 8,
     max_evals: int = 10**6,
 ) -> QuadResult:
     """Integrate f(x, y) over a rectangle by iterated 1D quadrature.
 
-    The outer (x) axis adapts over inner (y) integrals; the inner axis starts
-    from inner_min_panels panels so mildly oscillatory integrands cannot fool
-    a single coarse panel. f is called as f(x_scalar, y_array). The error
-    estimate combines the outer estimate with the worst inner estimate spread
-    over the x span; evaluations counts integrand evaluations. The max_evals
-    budget applies to each 1D solve separately.
+    The outer (x) axis adapts over inner (y) integrals; each inner solve starts
+    from 8 panels so mildly oscillatory integrands cannot fool a single coarse
+    panel. f is called as f(x_scalar, y_array). The error estimate combines
+    the outer estimate with the worst inner estimate spread over the x span;
+    evaluations counts integrand evaluations. The max_evals budget applies to
+    each 1D solve separately.
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
     _check_interval(xa, xb, tol)
     _check_interval(ya, yb, tol)
     if xa == xb or ya == yb:
-        return QuadResult(0.0, 0.0, 0, "tensor-2d")
+        return QuadResult(0.0, 0.0, 0)
 
     span_x = xb - xa
     inner_tol = tol / (2.0 * span_x)
@@ -206,7 +199,7 @@ def integrate_2d(
         for i, xv in enumerate(xs):
             v, e, n = _adaptive(
                 lambda ys: f(float(xv), ys), ya, yb, inner_tol,
-                inner_min_panels, max_evals,
+                _INNER_MIN_PANELS, max_evals,
             )
             inner_errs.append(e)
             inner_evals += n
@@ -217,4 +210,4 @@ def integrate_2d(
         outer_integrand, xa, xb, tol / 2.0, 1, max_evals
     )
     err = outer_err + span_x * max(inner_errs)
-    return QuadResult(value, err, inner_evals, "tensor-2d")
+    return QuadResult(value, err, inner_evals)

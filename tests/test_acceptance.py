@@ -12,7 +12,6 @@ import numpy as np
 
 from signcorr import (
     METHODS,
-    THRESHOLD,
     RotationFamily,
     alternation_check,
     conditional_bound,

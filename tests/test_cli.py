@@ -96,6 +96,11 @@ class TestSweepCommand:
         code, _, _ = run_cli(capsys, ["sweep", "--lo", "1", "--hi", "0"])
         assert code == 2
 
+    def test_negative_steps_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--lo", "0", "--hi", "0.5", "--steps", "-1"])
+        assert exc.value.code == 2
+
 
 class TestSeriesCommand:
     def test_full_report(self, capsys):

@@ -33,7 +33,6 @@ class TestFamilies:
         fam = rotation3(0.228)
         assert fam.name == "rotation3"
         assert fam.n == 3
-        assert fam.param_value == 0.228
 
     def test_hermite5_shape(self):
         fam = hermite5(0.1)

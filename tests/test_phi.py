@@ -13,6 +13,7 @@ from signcorr import (
     METHODS,
     THRESHOLD,
     RotationFamily,
+    integrate_2d,
     phi_i_bessel,
     phi_i_cartesian,
     phi_i_polar,
@@ -31,6 +32,14 @@ V_REF = {
     1.2: 0.33125743803320892203,
 }
 PHI_T_REF_228_03 = 0.18861937676486745876
+# Phi(t) at eta = 0.228 near |t| = 1, from mpmath 1.3.0 at 30 digits through
+# the 1D I0 form of bench/make_references.py, on panels split at 1e-8 .. 1e-1
+# and then at every integer up to 160; tanh-sinh and Gauss-Legendre agree to
+# 2e-31 (t = 0.999) and 1.5e-26 (t = 0.9999).
+PHI_T_REF_228_EDGE = {
+    0.999: 0.85444584695499680573,
+    0.9999: 0.85890841714974749024,
+}
 ROUTES = (phi_i_polar, phi_i_cartesian, phi_i_bessel)
 
 
@@ -126,12 +135,6 @@ class TestPhiIRoutes:
         assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
         assert tight.error_estimate < loose.error_estimate + 1e-12
 
-    def test_methods_labelled(self):
-        family = RotationFamily(0.1)
-        assert phi_i_polar(family).method == "tensor-2d"
-        assert phi_i_cartesian(family).method == "tensor-2d"
-        assert phi_i_bessel(family).method == "semi-infinite"
-
 
 class TestPhiRealT:
     def test_zero_at_zero(self):
@@ -168,6 +171,49 @@ class TestPhiRealT:
         for t in (1.0, -1.0, 1.5, math.nan):
             with pytest.raises(ValueError):
                 phi_real_t(fam, t)
+
+
+def _phi_real_t_plane(family, t, tol):
+    """Phi(t) as the plane integral that phi_real_t reduces to one radial
+    integral: (2/pi) arcsin(t cos(eps(x^2+y^2-2))) against the t-correlated
+    Gaussian density on [-14, 14]^2, with the Gaussian tail outside charged.
+    Returns (value, error estimate)."""
+    eps = family.epsilon
+    omt2 = 1.0 - t * t
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(omt2))
+
+    def f(x, y):
+        return (
+            np.arcsin(t * np.cos(eps * (x * x + y * y - 2.0)))
+            * np.exp(-(x * x + y * y - 2.0 * t * x * y) / (2.0 * omt2))
+            * norm
+        )
+
+    pref = 2.0 / math.pi
+    r = integrate_2d(f, (-14.0, 14.0), (-14.0, 14.0), tol / pref)
+    # density quadratic form >= (x^2+y^2)/4, |arcsin| <= pi/2
+    tail = 8.0 * math.exp(-14.0 * 14.0 / 4.0) / math.sqrt(omt2)
+    return pref * r.value, pref * r.error_estimate + tail
+
+
+class TestPhiRealTRadial:
+    @pytest.mark.parametrize("t", [-0.7, 0.95])
+    def test_matches_plane_integral(self, t):
+        fam = RotationFamily(0.228)
+        r = phi_real_t(fam, t)
+        value, err = _phi_real_t_plane(fam, t, 1e-9)
+        assert abs(r.value - value) <= r.error_estimate + err
+
+    @pytest.mark.parametrize("t,ref", sorted(PHI_T_REF_228_EDGE.items()))
+    def test_near_one(self, t, ref):
+        fam = RotationFamily(0.228)
+        plus, minus = phi_real_t(fam, t), phi_real_t(fam, -t)
+        for r, truth in ((plus, ref), (minus, -ref)):
+            assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
+            assert r.evaluations < 2000
+            assert abs(r.value - truth) <= r.error_estimate
+            assert abs(r.value) <= 2.0 / math.pi * math.asin(t)
+        assert abs(plus.value + minus.value) <= plus.error_estimate + minus.error_estimate
 
 
 class TestVerifyTheorem:

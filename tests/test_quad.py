@@ -23,7 +23,6 @@ class TestIntegrate1d:
     def test_polynomial_exact(self):
         r = integrate_1d(lambda x: x * x, 0.0, 1.0, 1e-12)
         assert r.value == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert r.method == "adaptive-1d"
         assert r.evaluations > 0
 
     def test_sine(self):
@@ -105,7 +104,6 @@ class TestIntegrate2d:
     def test_separable_polynomial(self):
         r = integrate_2d(lambda x, y: x * y, (0.0, 1.0), (0.0, 1.0), 1e-12)
         assert r.value == pytest.approx(0.25, abs=1e-13)
-        assert r.method == "tensor-2d"
 
     def test_gaussian_quadrant(self):
         # int_0^8 int_0^8 e^{-(x^2+y^2)/2} = pi/2 up to an 1e-14 tail
@@ -136,7 +134,7 @@ class TestIntegrate2d:
 
 class TestQuadResult:
     def test_fields_and_immutability(self):
-        r = QuadResult(1.0, 1e-12, 15, "adaptive-1d")
+        r = QuadResult(1.0, 1e-12, 15)
         assert r.value == 1.0
         with pytest.raises(AttributeError):
             r.value = 2.0

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signcorr import arcsin_coeff, bessel_j0, hermite_prob, integrate_1d
+from signcorr.specfun import _bessel_i0e
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
 J0_TABLE = {
@@ -137,3 +138,16 @@ class TestBesselJ0:
         # J0(x) = (2/pi) int_0^{pi/2} cos(x sin theta) d theta
         r = integrate_1d(lambda th: np.cos(x * np.sin(th)), 0.0, math.pi / 2, 1e-12)
         assert bessel_j0(x) == pytest.approx(2.0 / math.pi * r.value, abs=1e-10)
+
+
+class TestBesselI0e:
+    def test_one_at_zero_and_even(self):
+        assert _bessel_i0e(np.array([0.0]))[0] == 1.0
+        x = np.array([0.3, 7.0, 20.0, 20.5, 1e4])
+        assert np.array_equal(_bessel_i0e(-x), _bessel_i0e(x))
+
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        # dense across the series/Hankel switch at 20, geometric out to 1e7
+        x = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(1e-8, 1e7, 2001)])
+        np.testing.assert_allclose(_bessel_i0e(x), special.i0e(x), rtol=2e-15, atol=0.0)
