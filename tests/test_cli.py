@@ -161,6 +161,19 @@ class TestMcCommand:
         assert "reference" not in report
         assert "z_score" not in report
 
+    @pytest.mark.parametrize("t", ["1", "-1"])
+    def test_rotation3_unit_t_has_no_reference(self, capsys, t):
+        # phi_real_t needs |t| < 1, so the estimate is reported without one
+        code, out, _ = run_cli(capsys, [
+            "mc", "--family", "rotation3", "--eta", "0.228", "--target", "phi-t",
+            "--t", t, "--samples", "1000", "--seed", "42",
+        ])
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["t"] == float(t)
+        assert "reference" not in report
+        assert "z_score" not in report
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["mc", "--family", "rotation3", "--eta", "0.228",
                 "--samples", "50000", "--seed", "42"]

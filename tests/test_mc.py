@@ -1,9 +1,12 @@
 """Seeded Monte Carlo estimators: reproducibility, closed-form cross-checks."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from signcorr import mc
 from signcorr import (
     THRESHOLD,
     RotationFamily,
@@ -66,12 +69,75 @@ class TestDeterminism:
 
     def test_batch_boundary_consistency(self):
         # a sample count that crosses the internal batch size stays bitwise
-        # reproducible and agrees with itself across runs
+        # reproducible, at the value frozen before batches were split into blocks
         n = (1 << 20) + 1717
         a = estimate_phi_t(identity1(), 0.3, n, 5)
         b = estimate_phi_t(identity1(), 0.3, n, 5)
         assert a.mean == b.mean
         assert a.samples == n
+        assert (a.mean, a.stderr) == (0.19360597471372273, 0.0009573023255627944)
+
+    def test_readme_command_frozen(self):
+        # `mc --family rotation3 --eta 0.228 --seed 42`: the stream, the weights
+        # and the reduction order all show in these bits, which the benchmark's
+        # references freeze too
+        est = estimate_phi_i(rotation3(0.228), 10**6, 42)
+        assert (est.mean, est.stderr) == (0.5647312593125925, 0.0018234982741031406)
+
+
+def _whole_batch_accumulate(family, samples, seed, weights):
+    """The sampler before blocking: each batch's normals and weights as
+    full-length arrays. Kept as the oracle the blocked sampler must match."""
+    stride = 2 * family.n
+    sums, sqsums = [], []
+    for lo in range(0, samples, mc._BATCH):
+        nb = min(mc._BATCH, samples - lo)
+        z = mc._normals(seed, lo * stride, nb * stride).reshape(nb, stride)
+        w = weights(z)
+        sums.append(float(np.sum(w)))
+        sqsums.append(float(np.sum(w * w)))
+    total = math.fsum(sums)
+    mean = total / samples
+    if samples > 1:
+        var = (math.fsum(sqsums) - total * total / samples) / (samples - 1)
+        stderr = math.sqrt(max(var, 0.0) / samples)
+    else:
+        stderr = 0.0
+    return mc.McEstimate(mean, stderr, int(samples), int(seed))
+
+
+def _block_counts(n):
+    block = mc._BLOCK // (2 * n)  # samples per block
+    return [block - 1, block, block + 1, mc._BATCH + block + 3]
+
+
+class TestBlocking:
+    @pytest.mark.parametrize("samples", _block_counts(3))
+    def test_rotation3_phi_i_matches_whole_batch(self, samples, monkeypatch):
+        # at seed 0 the last count also catches per-block partial sums: they
+        # move the mean and stderr by an ulp
+        fam = rotation3(0.228)
+        blocked = estimate_phi_i(fam, samples, 0)
+        monkeypatch.setattr(mc, "_accumulate", _whole_batch_accumulate)
+        assert blocked == estimate_phi_i(fam, samples, 0)
+
+    @pytest.mark.parametrize("samples", _block_counts(2))
+    def test_hermite5_phi_t_matches_whole_batch(self, samples, monkeypatch):
+        fam = hermite5(0.1)
+        blocked = estimate_phi_t(fam, 0.6, samples, 13)
+        monkeypatch.setattr(mc, "_accumulate", _whole_batch_accumulate)
+        assert blocked == estimate_phi_t(fam, 0.6, samples, 13)
+
+    def test_working_memory_bounded(self):
+        # one full batch: about 16 MB blocked, 264 MB with batch-sized temporaries
+        fam = rotation3(0.228)
+        tracemalloc.start()
+        try:
+            estimate_phi_i(fam, 1 << 20, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestClosedFormCrossChecks:
