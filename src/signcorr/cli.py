@@ -208,10 +208,13 @@ def _cmd_mc(args, fmt: str):
         if not abs(args.t) <= 1:
             raise _UsageError(f"--t must satisfy |t| <= 1, got {args.t}")
         inputs["t"] = args.t
+    elif args.t is not None:
+        raise _UsageError("--t is only meaningful with --target phi-t")
+    # before sampling, so a reference that fails to converge wastes no draws
+    reference = _mc_reference(args)
+    if args.target == "phi-t":
         est = estimate_phi_t(family, args.t, args.samples, args.seed)
     else:
-        if args.t is not None:
-            raise _UsageError("--t is only meaningful with --target phi-t")
         est = estimate_phi_i(family, args.samples, args.seed)
     payload = {
         "command": "mc",
@@ -221,7 +224,6 @@ def _cmd_mc(args, fmt: str):
         "samples": est.samples,
         "seed": est.seed,
     }
-    reference = _mc_reference(args)
     if reference is not None:
         payload["reference"] = reference
         if est.stderr > 0:

@@ -1,8 +1,12 @@
 """Deterministic adaptive quadrature with a posteriori error estimates.
 
-A nested Gauss-Kronrod (7, 15) pair drives batched panel subdivision. All
-final reductions run in fixed position order, so identical inputs produce
-bit-identical results regardless of how panels were discovered.
+A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
+problems in lockstep: each round evaluates every live panel of every problem
+in a few integrand calls, the way integrate_2d solves the inner integrals of
+a whole outer round. All final reductions run in fixed position order, so
+identical inputs produce bit-identical results regardless of how panels were
+discovered. One evaluation budget covers a whole solve, nested solves
+included.
 """
 
 from __future__ import annotations
@@ -68,69 +72,98 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
+# panels per integrand call, which bounds a round's working memory. BLAS dgemv
+# sums a row by a kernel chosen by its place among groups of four rows, so a
+# multiple of 4 gives every row of a split one-problem round (an even count
+# after the first round) the kernel it had in the whole round: a one-problem
+# solve keeps its bits.
+_BLOCK = 128
 
 
-def _adaptive(
+class _Budget:
+    """Evaluations left for one whole solve, nested solves included."""
+
+    def __init__(self, max_evals: int):
+        self.max_evals = max_evals
+        self.spent = 0
+
+    def spend(self, n: int, a: float, b: float, tol: float) -> None:
+        if self.spent + n > self.max_evals:
+            raise NonConvergenceError(
+                f"no convergence on [{a}, {b}] within {self.max_evals} "
+                f"evaluations: {self.spent} spent, the next round needs {n} "
+                f"(tol={tol})"
+            )
+        self.spent += n
+
+
+def _lockstep(
     f: Callable,
     a: float,
     b: float,
     tol: float,
+    problems: int,
     min_panels: int,
-    max_evals: int,
-) -> tuple[float, float, int]:
-    """Batched adaptive G7K15 loop. f receives a flat array of points and
-    must return the matching array of values."""
+    budget: _Budget,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
+    the same tolerance.
+
+    f(owner, x) receives flat arrays of problem indices and abscissae and
+    returns the matching values. Each round evaluates every live panel of
+    every problem; a panel is accepted or halved by its own K15-G7 gap, so a
+    problem's panels do not depend on the others. Returns each problem's value
+    and error (fsum of its accepted panels in position order) and the total
+    evaluations. The round that would overrun the budget raises
+    NonConvergenceError before it is evaluated.
+    """
     span = b - a
-    edges = np.linspace(a, b, min_panels + 1)
-    panels = np.column_stack([edges[:-1], edges[1:]])
-    done_pos: list[float] = []
-    done_val: list[float] = []
-    done_err: list[float] = []
-    nev = 0
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
+    edges = np.linspace(a, b, min_panels + 1)
+    lo = np.tile(edges[:-1], problems)
+    hi = np.tile(edges[1:], problems)
+    owner = np.repeat(np.arange(problems), min_panels)
+    done: list[tuple[np.ndarray, ...]] = []
+    nev = 0
 
-    while panels.shape[0]:
-        mid = 0.5 * (panels[:, 0] + panels[:, 1])
-        hw = 0.5 * (panels[:, 1] - panels[:, 0])
-        pts = mid[:, None] + hw[:, None] * _NODES[None, :]
-        fv = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-        nev += fv.size
+    while lo.size:
+        budget.spend(lo.size * _NODES.size, a, b, tol)
+        nev += lo.size * _NODES.size
+        split = []
+        for s in range(0, lo.size, _BLOCK):
+            pl, ph, po = lo[s : s + _BLOCK], hi[s : s + _BLOCK], owner[s : s + _BLOCK]
+            mid = 0.5 * (pl + ph)
+            hw = 0.5 * (ph - pl)
+            pts = mid[:, None] + hw[:, None] * _NODES[None, :]
+            fv = np.asarray(
+                f(np.repeat(po, _NODES.size), pts.ravel()), dtype=float
+            ).reshape(pts.shape)
 
-        ik = (fv @ _WK15) * hw
-        ig = (fv @ _WG7) * hw
-        err = np.abs(ik - ig)
-        resabs = (np.abs(fv) @ _WK15) * hw
-        # per-panel target scales with panel width; the roundoff floor stops
-        # subdivision once the discrepancy is pure double-precision noise
-        target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
-        ok = (err <= target) | (2.0 * hw <= width_floor)
+            ik = (fv @ _WK15) * hw
+            ig = (fv @ _WG7) * hw
+            err = np.abs(ik - ig)
+            resabs = (np.abs(fv) @ _WK15) * hw
+            # per-panel target scales with panel width; the roundoff floor
+            # stops subdivision once the discrepancy is pure double-precision
+            # noise
+            target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
+            ok = (err <= target) | (2.0 * hw <= width_floor)
+            done.append((po[ok], pl[ok], ik[ok], err[ok]))
+            split.append((pl[~ok], ph[~ok], po[~ok]))
 
-        for i in np.nonzero(ok)[0]:
-            done_pos.append(float(panels[i, 0]))
-            done_val.append(float(ik[i]))
-            done_err.append(float(err[i]))
+        bl, bh, bo = (np.concatenate(c) for c in zip(*split))
+        mids = 0.5 * (bl + bh)
+        lo = np.concatenate([bl, mids])
+        hi = np.concatenate([mids, bh])
+        owner = np.concatenate([bo, bo])
 
-        bad = panels[~ok]
-        if bad.shape[0] and nev >= max_evals:
-            raise NonConvergenceError(
-                f"no convergence on [{a}, {b}] after {nev} evaluations "
-                f"({bad.shape[0]} unresolved panels, tol={tol})"
-            )
-        if bad.shape[0]:
-            mids = 0.5 * (bad[:, 0] + bad[:, 1])
-            panels = np.vstack(
-                [
-                    np.column_stack([bad[:, 0], mids]),
-                    np.column_stack([mids, bad[:, 1]]),
-                ]
-            )
-        else:
-            panels = np.empty((0, 2))
-
-    order = np.argsort(np.array(done_pos), kind="stable")
-    value = math.fsum(done_val[i] for i in order)
-    err = math.fsum(done_err[i] for i in order)
-    return value, err, nev
+    own, pos, val, err = (np.concatenate(c) for c in zip(*done))
+    order = np.lexsort((pos, own))
+    cuts = np.searchsorted(own[order], np.arange(problems + 1))
+    val, err = val[order].tolist(), err[order].tolist()
+    values = np.array([math.fsum(val[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
+    errors = np.array([math.fsum(err[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
+    return values, errors, nev
 
 
 def _check_interval(a: float, b: float, tol: float) -> None:
@@ -154,14 +187,17 @@ def integrate_1d(
 
     f must accept a numpy array of abscissae and evaluate elementwise.
     Subdivision stops per panel when the K15-G7 discrepancy drops below tol
-    scaled by the panel's share of the interval; exceeding max_evals raises
-    NonConvergenceError.
+    scaled by the panel's share of the interval. A refinement round that
+    would take the evaluations past max_evals raises NonConvergenceError
+    instead, so evaluations never exceed max_evals.
     """
     _check_interval(a, b, tol)
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    value, err, nev = _adaptive(f, float(a), float(b), tol, 1, max_evals)
-    return QuadResult(value, err, nev)
+    value, err, nev = _lockstep(
+        lambda owner, x: f(x), float(a), float(b), tol, 1, 1, _Budget(max_evals)
+    )
+    return QuadResult(float(value[0]), float(err[0]), nev)
 
 
 def integrate_2d(
@@ -170,16 +206,19 @@ def integrate_2d(
     y_range: Sequence[float],
     tol: float,
     *,
-    max_evals: int = 10**6,
+    max_evals: int = 10**7,
 ) -> QuadResult:
     """Integrate f(x, y) over a rectangle by iterated 1D quadrature.
 
-    The outer (x) axis adapts over inner (y) integrals; each inner solve starts
-    from 8 panels so mildly oscillatory integrands cannot fool a single coarse
-    panel. f is called as f(x_scalar, y_array). The error estimate combines
-    the outer estimate with the worst inner estimate spread over the x span;
-    evaluations counts integrand evaluations. The max_evals budget applies to
-    each 1D solve separately.
+    The outer (x) axis adapts over inner (y) integrals. Each outer round
+    solves the inner integrals at all of its nodes together, each starting
+    from 8 panels so mildly oscillatory integrands cannot fool a single
+    coarse panel. f is called as f(x_array, y_array) with arrays of equal
+    shape and must evaluate elementwise. The error estimate combines the
+    outer estimate with the worst inner estimate spread over the x span;
+    evaluations counts integrand evaluations. max_evals bounds the whole
+    solve: integrand evaluations plus outer nodes. The round that would pass
+    it raises NonConvergenceError before it is evaluated.
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
@@ -190,24 +229,22 @@ def integrate_2d(
 
     span_x = xb - xa
     inner_tol = tol / (2.0 * span_x)
-    inner_errs: list[float] = []
+    budget = _Budget(max_evals)
+    worst_inner = 0.0
     inner_evals = 0
 
-    def outer_integrand(xs: np.ndarray) -> np.ndarray:
-        nonlocal inner_evals
-        out = np.empty(xs.size)
-        for i, xv in enumerate(xs):
-            v, e, n = _adaptive(
-                lambda ys: f(float(xv), ys), ya, yb, inner_tol,
-                _INNER_MIN_PANELS, max_evals,
-            )
-            inner_errs.append(e)
-            inner_evals += n
-            out[i] = v
-        return out
+    def outer_integrand(_owner: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        nonlocal worst_inner, inner_evals
+        values, errs, n = _lockstep(
+            lambda owner, ys: f(xs[owner], ys),
+            ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget,
+        )
+        worst_inner = max(worst_inner, float(errs.max()))
+        inner_evals += n
+        return values
 
-    value, outer_err, _ = _adaptive(
-        outer_integrand, xa, xb, tol / 2.0, 1, max_evals
+    value, outer_err, _ = _lockstep(
+        outer_integrand, xa, xb, tol / 2.0, 1, 1, budget
     )
-    err = outer_err + span_x * max(inner_errs)
-    return QuadResult(value, err, inner_evals)
+    err = float(outer_err[0]) + span_x * worst_inner
+    return QuadResult(float(value[0]), err, inner_evals)

@@ -71,6 +71,15 @@ class TestVerifyCommand:
         assert code == 3
         assert "non-convergence" in err
 
+    def test_cartesian_budget_covers_nested_solve(self, capsys):
+        # tens of millions of evaluations at eta 20: the one budget of 10^7
+        # for the whole 2D solve stops it, where per-pass budgets did not
+        code, out, err = run_cli(capsys, ["verify", "--eta", "20",
+                                          "--method", "cartesian"])
+        assert code == 3
+        assert out == ""
+        assert "within 10000000 evaluations" in err
+
 
 class TestSweepCommand:
     def test_json_is_bare_array(self, capsys):
@@ -173,6 +182,23 @@ class TestMcCommand:
         assert report["inputs"]["t"] == float(t)
         assert "reference" not in report
         assert "z_score" not in report
+
+    @pytest.mark.parametrize("target", [[], ["--target", "phi-t", "--t", "0.3"]])
+    def test_failed_reference_exits_three_before_sampling(
+        self, capsys, monkeypatch, target
+    ):
+        def never(*args):
+            raise AssertionError("sampled although the reference failed")
+
+        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
+        monkeypatch.setattr("signcorr.cli.estimate_phi_t", never)
+        code, out, err = run_cli(capsys, [
+            "mc", "--family", "rotation3", "--eta", "5e6",
+            "--samples", "2000000", "--seed", "1", *target,
+        ])
+        assert code == 3
+        assert out == ""
+        assert "non-convergence" in err
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["mc", "--family", "rotation3", "--eta", "0.228",

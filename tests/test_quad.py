@@ -7,16 +7,85 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import signcorr.phi
 from signcorr import (
     NonConvergenceError,
     QuadResult,
+    RotationFamily,
     bessel_j0,
     integrate_1d,
     integrate_2d,
+    phi_i_bessel,
+    phi_real_t,
 )
+from signcorr.quad import _INNER_MIN_PANELS, _NODES, _WG7, _WK15, _Budget, _lockstep
 
 INV_SQRT2 = 0.7071067811865475244
 PI_OVER_SQRT2 = 2.2214414690791831235
+_EPS = float(np.finfo(float).eps)
+
+
+def single_problem_adaptive(f, a, b, tol, min_panels, max_evals):
+    """The one-problem G7K15 loop that the lockstep engine replaced, kept
+    verbatim as an oracle: integrate_1d must reproduce it bit for bit."""
+    span = b - a
+    edges = np.linspace(a, b, min_panels + 1)
+    panels = np.column_stack([edges[:-1], edges[1:]])
+    done_pos: list[float] = []
+    done_val: list[float] = []
+    done_err: list[float] = []
+    nev = 0
+    width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
+
+    while panels.shape[0]:
+        mid = 0.5 * (panels[:, 0] + panels[:, 1])
+        hw = 0.5 * (panels[:, 1] - panels[:, 0])
+        pts = mid[:, None] + hw[:, None] * _NODES[None, :]
+        fv = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+        nev += fv.size
+
+        ik = (fv @ _WK15) * hw
+        ig = (fv @ _WG7) * hw
+        err = np.abs(ik - ig)
+        resabs = (np.abs(fv) @ _WK15) * hw
+        target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
+        ok = (err <= target) | (2.0 * hw <= width_floor)
+
+        for i in np.nonzero(ok)[0]:
+            done_pos.append(float(panels[i, 0]))
+            done_val.append(float(ik[i]))
+            done_err.append(float(err[i]))
+
+        bad = panels[~ok]
+        if bad.shape[0] and nev >= max_evals:
+            raise NonConvergenceError("no convergence")
+        if bad.shape[0]:
+            mids = 0.5 * (bad[:, 0] + bad[:, 1])
+            panels = np.vstack(
+                [
+                    np.column_stack([bad[:, 0], mids]),
+                    np.column_stack([mids, bad[:, 1]]),
+                ]
+            )
+        else:
+            panels = np.empty((0, 2))
+
+    order = np.argsort(np.array(done_pos), kind="stable")
+    value = math.fsum(done_val[i] for i in order)
+    err = math.fsum(done_err[i] for i in order)
+    return value, err, nev
+
+
+class CountingIntegrand:
+    """Wraps an elementwise integrand and counts the points it is given."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, *args):
+        self.points += np.size(args[-1])
+        return self.f(*args)
 
 
 class TestIntegrate1d:
@@ -93,6 +162,17 @@ class TestIntegrate1d:
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 0.0, math.inf, 1e-10)
 
+    @pytest.mark.parametrize("max_evals", [15, 100, 1000, 3000])
+    def test_budget_never_exceeded(self, max_evals):
+        f = CountingIntegrand(lambda x: np.cos(300.0 * x) * np.exp(-x))
+        try:
+            r = integrate_1d(f, 0.0, 10.0, 1e-12, max_evals=max_evals)
+        except NonConvergenceError:
+            pass
+        else:
+            assert r.evaluations == f.points
+        assert f.points <= max_evals
+
     @given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0))
     def test_linearity_anchor(self, scale, shift):
         # int_0^1 (scale x + shift) dx = scale/2 + shift
@@ -130,6 +210,91 @@ class TestIntegrate2d:
             integrate_2d(lambda x, y: x + y, (1.0, 0.0), (0.0, 1.0), 1e-10)
         with pytest.raises(ValueError):
             integrate_2d(lambda x, y: x + y, (0.0, 1.0), (1.0, 0.0), 1e-10)
+
+
+    def test_budget_covers_whole_nested_solve(self):
+        # the polar Phi(i)/i integrand at eta 0.228 takes 34,200 integrand
+        # evaluations at 285 outer nodes; each 1D pass alone needs far less
+        f = CountingIntegrand(
+            lambda rho, th: signcorr.phi._integrand_polar(0.228, rho, th)
+        )
+        for max_evals in (20_000, 34_484):
+            f.points = 0
+            with pytest.raises(NonConvergenceError):
+                integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
+                             max_evals=max_evals)
+            assert f.points <= max_evals
+        f.points = 0
+        r = integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
+                         max_evals=34_200 + 285)
+        assert r.evaluations == f.points == 34_200
+
+
+class TestLockstep:
+    """The engine behind both integrators: P problems refined in lockstep."""
+
+    @pytest.mark.parametrize(
+        "route,args",
+        [(phi_i_bessel, ()), (phi_real_t, (0.3,)), (phi_real_t, (-0.7,)),
+         (phi_real_t, (0.95,))],
+    )
+    # at eta 20 the largest rounds (262 and 400 panels) span several blocks
+    @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 20.0])
+    def test_one_problem_matches_single_problem_loop(self, monkeypatch, route,
+                                                     args, eta):
+        calls = []
+
+        def recording(f, a, b, tol):
+            r = integrate_1d(f, a, b, tol)
+            calls.append((f, a, b, tol, r))
+            return r
+
+        monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
+        route(RotationFamily(eta), *args)
+        ((f, a, b, tol, r),) = calls
+        value, err, nev = single_problem_adaptive(f, a, b, tol, 1, 10**6)
+        assert (r.value, r.error_estimate, r.evaluations) == (value, err, nev)
+
+    def test_batch_agrees_with_solo_solves(self):
+        rate = np.array([0.1, 0.5, 1.0, 3.0, 0.2])
+        freq = np.array([0.0, 2.0, 10.0, 40.0, 7.5])
+        tol = 1e-11
+
+        def f(owner, x):
+            return np.exp(-rate[owner] * x) * np.cos(freq[owner] * x)
+
+        values, errs, nev = _lockstep(f, 0.0, 20.0, tol, rate.size, 1,
+                                      _Budget(10**6))
+        solo_evals = 0
+        for i in range(rate.size):
+            solo = integrate_1d(lambda x: f(np.full(x.shape, i), x), 0.0, 20.0, tol)
+            assert abs(values[i] - solo.value) <= errs[i] + solo.error_estimate
+            solo_evals += solo.evaluations
+        # acceptance is per panel, so each problem refines as it would alone
+        assert nev == solo_evals
+
+    def test_inner_integrals_match_bessel_at_every_outer_node(self):
+        # one batched round of the polar route's inner solves: the 15 nodes of
+        # each of 8 outer panels on [0, 100], each an integral of
+        # cos(rho sin th) over [0, pi], which is pi J0(rho)
+        edges = np.linspace(0.0, 100.0, 9)
+        mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        rho = (mid[:, None] + hw[:, None] * _NODES[None, :]).ravel()
+        inner_tol = 1e-9 / (2.0 * 100.0)
+        values, errs, _ = _lockstep(
+            lambda owner, th: np.cos(rho[owner] * np.sin(th)),
+            0.0, math.pi, inner_tol, rho.size, _INNER_MIN_PANELS, _Budget(10**7),
+        )
+        exact = math.pi * bessel_j0(rho)
+        assert np.all(np.abs(values - exact) <= inner_tol)
+        assert np.all(errs <= inner_tol)
+
+    def test_budget_checked_before_each_round(self):
+        f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x))
+        budget = _Budget(400)
+        with pytest.raises(NonConvergenceError, match="within 400 evaluations"):
+            _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, budget)
+        assert f.points == budget.spent <= 400
 
 
 class TestQuadResult:

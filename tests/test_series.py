@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +17,14 @@ from signcorr import (
     alternation_check,
     arcsin_coeff,
     conditional_bound,
+    hermite_prob,
+    integrate_1d,
     mehler_coefficients,
     phi_i_bessel,
     phi_real_t,
     revert_odd_series,
 )
-from signcorr.series import _char_integral, _compose_odd
+from signcorr.series import _HERMITE_CUTOFF, _char_integrals
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
 C_REF_228 = (
@@ -57,6 +60,52 @@ CHAR_REF = {
     (2, 0.342): -0.27152167498535199 + 0.4351499630573948j,
     (6, 0.570): 3.4666826304081591 + 3.8422938096634444j,
 }
+
+
+def char_integral(m: int, beta: float, tol: float) -> complex:
+    """One characteristic integral I_m(beta) by two solo 1D quadratures, the
+    way mehler_coefficients computed each before it batched them: an oracle
+    for the batch."""
+
+    def part(trig):
+        def f(x):
+            return (
+                hermite_prob(m, x)
+                * trig(beta * (x * x - 1.0))
+                * np.exp(-x * x / 2.0)
+                / math.sqrt(2.0 * math.pi)
+            )
+
+        return 2.0 * integrate_1d(f, 0.0, _HERMITE_CUTOFF, tol).value
+
+    return complex(part(np.cos), part(np.sin))
+
+
+def compose_odd(outer: OddSeries, inner: OddSeries) -> OddSeries:
+    """Coefficients of outer(inner(t)) through the smaller max_order, by
+    plain truncated products: an oracle for reversion."""
+    K = min(outer.max_order, inner.max_order)
+
+    def mul(p, q):
+        out = [0.0] * (K + 1)
+        for i, pv in enumerate(p):
+            for j, qv in enumerate(q[: K + 1 - i]):
+                out[i + j] += pv * qv
+        return out
+
+    s = [0.0] * (K + 1)
+    for k, c in zip(inner.orders, inner.coeffs):
+        if k <= K:
+            s[k] = c
+    s2 = mul(s, s)
+    full = [0.0] * (K + 1)
+    power = s
+    for k, c in zip(outer.orders, outer.coeffs):
+        if k > K:
+            break
+        full = [acc + c * p for acc, p in zip(full, power)]
+        power = mul(power, s2)
+    return OddSeries(tuple(full[k] for k in range(1, K + 1, 2)), K)
 
 
 def sin_series(K: int) -> OddSeries:
@@ -112,14 +161,26 @@ class TestCharIntegral:
             * ib**p
             * (1.0 - 2.0 * ib) ** (-p - 0.5)
         )
-        got = _char_integral(m, beta, 1e-12)
+        (got,) = _char_integrals([beta], [m], 1e-12)
         assert got == pytest.approx(expected, abs=1e-10)
         assert got == pytest.approx(CHAR_REF[(m, beta)], abs=1e-10)
 
     def test_beta_zero_orthogonality(self):
-        assert _char_integral(0, 0.0, 1e-12) == pytest.approx(1.0, abs=1e-14)
-        assert abs(_char_integral(2, 0.0, 1e-12)) < 1e-12
-        assert abs(_char_integral(6, 0.0, 1e-12)) < 1e-10
+        one, two, six = _char_integrals([0.0, 0.0, 0.0], [0, 2, 6], 1e-12)
+        assert one == pytest.approx(1.0, abs=1e-14)
+        assert abs(two) < 1e-12
+        assert abs(six) < 1e-10
+
+    @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2])
+    def test_batch_matches_solo_quadratures(self, eta):
+        # every (m, beta) pair mehler_coefficients reads at order 15, at its
+        # default quadrature tolerance
+        qtol = 1e-10 / 8.0
+        pairs = [(m, q) for m in range(0, 15, 2) for q in range((14 - m) // 2 + 1)]
+        betas = [(2 * q + 1) * eta / 2.0 for _, q in pairs]
+        batch = _char_integrals(betas, [m for m, _ in pairs], qtol)
+        for (m, _), beta, got in zip(pairs, betas, batch):
+            assert abs(got - char_integral(m, beta, qtol)) <= qtol
 
 
 class TestMehlerCoefficients:
@@ -202,7 +263,7 @@ class TestReversion:
     def test_round_trip_composition(self, coeffs):
         c = OddSeries(coeffs, 7)
         b = revert_odd_series(c)
-        rt = _compose_odd(c, b)
+        rt = compose_odd(c, b)
         # b(c(t)) = t through order 7
         assert rt.coeffs[0] == pytest.approx(1.0, abs=1e-11)
         for higher in rt.coeffs[1:]:
