@@ -15,7 +15,6 @@ from .mc import (
 )
 from .optimize import MaximizeResult, ScanResult, grid_scan, maximize_eta
 from .phi import (
-    KRIVINE_BOUND,
     METHODS,
     THRESHOLD,
     RotationFamily,
@@ -44,7 +43,7 @@ __all__ = [
     "hermite_prob", "arcsin_coeff", "bessel_j0",
     "QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d",
     "RotationFamily", "VerificationReport",
-    "THRESHOLD", "KRIVINE_BOUND", "METHODS",
+    "THRESHOLD", "METHODS",
     "phi_i_polar", "phi_i_cartesian", "phi_i_bessel",
     "phi_real_t", "verify_theorem",
     "OddSeries", "AlternationVerdict", "mehler_coefficients",

@@ -144,7 +144,7 @@ def _cmd_sweep(args, fmt: str):
 def _cmd_series(args, fmt: str):
     eta = _finite("eta", args.eta)
     family = RotationFamily(eta)
-    direct = mehler_coefficients(family, args.order, args.tol)
+    direct = mehler_coefficients(family, args.order)
     inverse = revert_odd_series(direct)
     verdict = alternation_check(inverse)
     vq = phi_i_bessel(family, args.tol)
@@ -160,7 +160,9 @@ def _cmd_series(args, fmt: str):
     }
     if verdict.first_violation is not None:
         payload["first_violation"] = verdict.first_violation
-    payload["conditional_bound"] = conditional_bound(vq.value)
+    # the bound 1/v exists only where Phi(i)/i is positive (eta below about 3)
+    if vq.value > 0:
+        payload["conditional_bound"] = conditional_bound(vq.value)
     payload["version"] = __version__
     return 0, _render_report(payload, fmt)
 

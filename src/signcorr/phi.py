@@ -21,7 +21,6 @@ from .specfun import _bessel_i0e, bessel_j0
 
 __all__ = [
     "THRESHOLD",
-    "KRIVINE_BOUND",
     "RotationFamily",
     "VerificationReport",
     "phi_i_polar",
@@ -35,7 +34,6 @@ __all__ = [
 # family must clear. Its reciprocal pi/(2 ln(1+sqrt 2)) = 1.7822... is the
 # classical sign-rounding bound.
 THRESHOLD = 2.0 / math.pi * math.asinh(1.0)
-KRIVINE_BOUND = math.pi / (2.0 * math.asinh(1.0))
 
 _ASINH1 = math.asinh(1.0)
 _PREFACTOR = 2.0 * math.sqrt(2.0) / math.pi**2  # polar and folded-Cartesian forms
@@ -45,8 +43,6 @@ _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
 _CUTOFF = 100.0
 _BOX = 14.0
-
-METHODS = ("polar", "cartesian", "bessel")
 
 
 @dataclass(frozen=True)
@@ -180,6 +176,7 @@ _ROUTES = {
     "cartesian": phi_i_cartesian,
     "bessel": phi_i_bessel,
 }
+METHODS = tuple(_ROUTES)
 
 
 def verify_theorem(

@@ -4,15 +4,15 @@ and the sign-alternation verdict on the reverted coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .phi import RotationFamily
-# integrate_1d is not called here; the traced benchmark run rebinds it by name
-from .quad import _Budget, _lockstep, integrate_1d  # noqa: F401
-from .specfun import arcsin_coeff, hermite_prob
+# integrate_1d and hermite_prob are not called here; the traced benchmark run
+# rebinds both by name
+from .quad import integrate_1d  # noqa: F401
+from .specfun import arcsin_coeff, hermite_prob  # noqa: F401
 
 __all__ = [
     "OddSeries",
@@ -23,10 +23,8 @@ __all__ = [
     "conditional_bound",
 ]
 
+# sign verdicts past order 15 wait for error bars on the coefficients
 _MAX_ORDER = 15
-_HERMITE_CUTOFF = 12.0  # He_m(x) phi(x) < 4e-17 here for every m <= 14
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_MAX_EVALS = 10**6  # for the whole batch of characteristic integrals
 
 
 @dataclass(frozen=True)
@@ -74,41 +72,31 @@ class AlternationVerdict:
     signs: tuple[str, ...]
 
 
-def _char_integrals(betas, degrees, tol: float) -> np.ndarray:
-    """I_m(beta) = integral of He_m(x) e^{i beta (x^2-1)} phi(x) dx for even m,
-    one per (beta, m) pair, by real/imaginary quadratures folded onto
-    [0, cutoff] and solved as one batch: problem 2i is the real part of pair
-    i, problem 2i+1 its imaginary part."""
-    beta = np.repeat(np.asarray(betas, dtype=float), 2)
-    degree = np.repeat(np.asarray(degrees), 2)
-    imag = np.tile([False, True], len(betas))
-
-    def f(owner, x):
-        phase = beta[owner] * (x * x - 1.0)
-        trig = np.where(imag[owner], np.sin(phase), np.cos(phase))
-        he = np.empty_like(x)
-        deg = degree[owner]
-        for m in set(degrees):
-            sel = deg == m
-            he[sel] = hermite_prob(m, x[sel])
-        return he * trig * np.exp(-x * x / 2.0) / _SQRT_2PI
-
-    parts, _, _ = _lockstep(
-        f, 0.0, _HERMITE_CUTOFF, tol, beta.size, 1, _Budget(_MAX_EVALS)
+def _char_integral(m: int, beta: float) -> complex:
+    """I_m(beta) = E[He_m(X) e^{i beta (X^2-1)}] for X ~ N(0, 1) and even m,
+    in closed form from the generating function e^{sx - s^2/2} =
+    sum He_m(x) s^m/m! (DLMF 18.12): I_{2p} = e^{-i beta} (2p)!/p! (i beta)^p
+    (1 - 2i beta)^{-p-1/2} on the principal branch, since Re(1 - 2i beta) = 1.
+    Odd m give 0 by parity, so the sums below never ask for them."""
+    p = m // 2
+    ib = 1j * beta
+    return (
+        cmath.exp(-ib)
+        * (math.factorial(m) // math.factorial(p))
+        * ib**p
+        * (1.0 - 2.0 * ib) ** (-p - 0.5)
     )
-    return 2.0 * parts[0::2] + 2.0j * parts[1::2]
 
 
-def mehler_coefficients(
-    family: RotationFamily, K: int, tol: float = 1e-10
-) -> OddSeries:
+def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
     """Taylor coefficients c_1, c_3, ..., c_K of Phi(t) for the rotation
     family.
 
     Expanding arcsin and the correlated density in the Hermite kernel reduces
     every coefficient to c_k = (2/pi) sum a_j A_{j,m} / m! over 2j+1+m = k,
     where A_{j,m} collapses (via the odd-power cosine expansion) to binomial
-    combinations of Re[I_m((2q+1) eps)^2] with I_m a 1D Gaussian quadrature.
+    combinations of Re[I_m((2q+1) eps)^2], with I_m the characteristic
+    integral of He_m in closed form (_char_integral).
     A_{j,m} vanishes for odd m by parity.
     """
     if isinstance(K, bool) or not isinstance(K, int):
@@ -117,17 +105,8 @@ def mehler_coefficients(
         raise ValueError(f"order must be odd, got {K}")
     if not 1 <= K <= _MAX_ORDER:
         raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {K}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
 
     eps = family.epsilon
-    # every (m, q) pair the sums below read: m = k-1-2j over odd k <= K
-    pairs = [(m, q) for m in range(0, K, 2) for q in range((K - 1 - m) // 2 + 1)]
-    values = _char_integrals(
-        [(2 * q + 1) * eps for _, q in pairs], [m for m, _ in pairs], tol / 8.0
-    )
-    char = dict(zip(pairs, values.tolist()))
-
     coeffs = []
     for k in range(1, K + 1, 2):
         total = 0.0
@@ -135,7 +114,7 @@ def mehler_coefficients(
             m = k - 1 - 2 * j
             a = 0.0
             for q in range(j + 1):
-                z = char[m, q]
+                z = _char_integral(m, (2 * q + 1) * eps)
                 a += math.comb(2 * j + 1, j - q) * (z * z).real
             a /= 4.0**j
             total += arcsin_coeff(j) * a / math.factorial(m)

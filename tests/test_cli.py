@@ -131,6 +131,19 @@ class TestSeriesCommand:
         assert report["alternating"] is True
         assert "first_violation" not in report
 
+    def test_negative_value_omits_conditional_bound(self, capsys):
+        # Phi(i)/i < 0 at eta 5, so the bound 1/v does not exist
+        code, out, _ = run_cli(capsys, ["series", "--eta", "5"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["value"] < 0
+        assert "conditional_bound" not in report
+
+    def test_order_15_at_large_eta(self, capsys):
+        code, out, _ = run_cli(capsys, ["series", "--eta", "12", "--order", "15"])
+        assert code == 0
+        assert len(json.loads(out)["direct_coefficients"]) == 8
+
     def test_even_order_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["series", "--eta", "0.228",
                                         "--order", "4"])

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from signcorr import (
-    KRIVINE_BOUND,
     METHODS,
     THRESHOLD,
     RotationFamily,
@@ -49,6 +48,7 @@ class TestConstants:
         assert THRESHOLD == pytest.approx(0.56109985233918012714, abs=1e-16)
 
     def test_krivine_reciprocal(self):
+        KRIVINE_BOUND = math.pi / (2.0 * math.asinh(1.0))
         assert KRIVINE_BOUND == pytest.approx(1.7822139781913691118, abs=2e-16)
         assert THRESHOLD * KRIVINE_BOUND == pytest.approx(1.0, abs=1e-15)
 
