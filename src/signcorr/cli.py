@@ -29,11 +29,6 @@ from .quad import NonConvergenceError
 from .series import alternation_check, conditional_bound, mehler_coefficients, revert_odd_series
 
 _FORMATS = ("json", "csv", "text")
-_MC_REFERENCE_TOL = 1e-9
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _fmt(x: float) -> str:
@@ -80,7 +75,7 @@ def _as_text(report: dict) -> str:
 
 def _render_report(report: dict, fmt: str) -> str:
     if fmt == "csv":
-        raise _UsageError("csv output is only available for the sweep command")
+        raise ValueError("csv output is only available for the sweep command")
     if fmt == "json":
         return _json_value(report)
     return _as_text(report)
@@ -89,7 +84,7 @@ def _render_report(report: dict, fmt: str) -> str:
 def _resolve_format(flag: str | None) -> str:
     fmt = flag or os.environ.get("SIGNCORR_FORMAT", "json")
     if fmt not in _FORMATS:
-        raise _UsageError(
+        raise ValueError(
             f"unknown output format {fmt!r}, expected one of {_FORMATS}"
         )
     return fmt
@@ -97,7 +92,7 @@ def _resolve_format(flag: str | None) -> str:
 
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
-        raise _UsageError(f"--{name} must be finite, got {value}")
+        raise ValueError(f"--{name} must be finite, got {value}")
     return value
 
 
@@ -120,7 +115,7 @@ def _cmd_verify(args, fmt: str):
 def _cmd_sweep(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if lo > hi:
-        raise _UsageError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
+        raise ValueError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
     scan = grid_scan(lo, hi, args.steps, args.tol)
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]
@@ -144,10 +139,11 @@ def _cmd_sweep(args, fmt: str):
 def _cmd_series(args, fmt: str):
     eta = _finite("eta", args.eta)
     family = RotationFamily(eta)
+    # first, so an eta too large for the series fails as non-convergence
+    vq = phi_i_bessel(family, args.tol)
     direct = mehler_coefficients(family, args.order)
     inverse = revert_odd_series(direct)
     verdict = alternation_check(inverse)
-    vq = phi_i_bessel(family, args.tol)
     payload = {
         "command": "series",
         "inputs": {"eta": eta, "order": args.order, "tol": args.tol},
@@ -170,18 +166,18 @@ def _cmd_series(args, fmt: str):
 def _mc_family(args):
     if args.family == "identity1":
         if args.eta is not None or args.epsilon is not None:
-            raise _UsageError("identity1 takes no --eta or --epsilon")
+            raise ValueError("identity1 takes no --eta or --epsilon")
         return identity1(), {}
     if args.family == "rotation3":
         if args.eta is None:
-            raise _UsageError("rotation3 requires --eta")
+            raise ValueError("rotation3 requires --eta")
         if args.epsilon is not None:
-            raise _UsageError("rotation3 takes --eta, not --epsilon")
+            raise ValueError("rotation3 takes --eta, not --epsilon")
         return rotation3(_finite("eta", args.eta)), {"eta": args.eta}
     if args.epsilon is None:
-        raise _UsageError("hermite5 requires --epsilon")
+        raise ValueError("hermite5 requires --epsilon")
     if args.eta is not None:
-        raise _UsageError("hermite5 takes --epsilon, not --eta")
+        raise ValueError("hermite5 takes --epsilon, not --eta")
     return hermite5(_finite("epsilon", args.epsilon)), {"epsilon": args.epsilon}
 
 
@@ -193,12 +189,12 @@ def _mc_reference(args) -> float | None:
     if args.target == "phi-i":
         if args.family == "identity1":
             return THRESHOLD
-        return phi_i_bessel(RotationFamily(args.eta), _MC_REFERENCE_TOL).value
+        return phi_i_bessel(RotationFamily(args.eta)).value
     if args.family == "identity1":
         return 2.0 / math.pi * math.asin(args.t)
     if abs(args.t) == 1:
         return None
-    return phi_real_t(RotationFamily(args.eta), args.t, _MC_REFERENCE_TOL).value
+    return phi_real_t(RotationFamily(args.eta), args.t).value
 
 
 def _cmd_mc(args, fmt: str):
@@ -206,12 +202,12 @@ def _cmd_mc(args, fmt: str):
     inputs = {"family": args.family, **params, "target": args.target}
     if args.target == "phi-t":
         if args.t is None:
-            raise _UsageError("--target phi-t requires --t")
+            raise ValueError("--target phi-t requires --t")
         if not abs(args.t) <= 1:
-            raise _UsageError(f"--t must satisfy |t| <= 1, got {args.t}")
+            raise ValueError(f"--t must satisfy |t| <= 1, got {args.t}")
         inputs["t"] = args.t
     elif args.t is not None:
-        raise _UsageError("--t is only meaningful with --target phi-t")
+        raise ValueError("--t is only meaningful with --target phi-t")
     # before sampling, so a reference that fails to converge wastes no draws
     reference = _mc_reference(args)
     if args.target == "phi-t":
@@ -237,7 +233,7 @@ def _cmd_mc(args, fmt: str):
 def _cmd_optimize(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if not lo < hi:
-        raise _UsageError(f"need --lo < --hi, got [{lo}, {hi}]")
+        raise ValueError(f"need --lo < --hi, got [{lo}, {hi}]")
     res = maximize_eta(lo, hi, args.xtol, args.tol)
     payload = {
         "command": "optimize",
@@ -262,8 +258,8 @@ _HANDLERS = {
 
 def _positive_float(raw: str) -> float:
     value = float(raw)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {raw}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
     return value
 
 
@@ -341,7 +337,7 @@ def main(argv=None) -> int:
     try:
         fmt = _resolve_format(args.format)
         code, text = _HANDLERS[args.command](args, fmt)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"signcorr: error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
@@ -349,7 +345,11 @@ def main(argv=None) -> int:
         return 3
     if args.out is None:
         sys.stdout.write(text + "\n")
-    else:
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        print(f"signcorr: error: {exc}", file=sys.stderr)
+        return 2
     return code

@@ -21,6 +21,7 @@ from .specfun import _bessel_i0e, bessel_j0
 
 __all__ = [
     "THRESHOLD",
+    "METHODS",
     "RotationFamily",
     "VerificationReport",
     "phi_i_polar",

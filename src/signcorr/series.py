@@ -32,18 +32,16 @@ class OddSeries:
     """Odd power series sum_k c_k t^k stored as (c_1, c_3, ..., c_K)."""
 
     coeffs: tuple[float, ...]
-    max_order: int
 
     def __post_init__(self):
-        if self.max_order < 1 or self.max_order % 2 == 0:
-            raise ValueError(f"max_order must be odd and >= 1, got {self.max_order}")
-        if len(self.coeffs) != (self.max_order + 1) // 2:
-            raise ValueError(
-                f"expected {(self.max_order + 1) // 2} coefficients for order "
-                f"{self.max_order}, got {len(self.coeffs)}"
-            )
+        if not self.coeffs:
+            raise ValueError("need at least the coefficient c_1")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("coefficients must be finite")
+
+    @property
+    def max_order(self) -> int:
+        return 2 * len(self.coeffs) - 1
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -119,7 +117,7 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
             a /= 4.0**j
             total += arcsin_coeff(j) * a / math.factorial(m)
         coeffs.append(2.0 / math.pi * total)
-    return OddSeries(tuple(coeffs), K)
+    return OddSeries(tuple(coeffs))
 
 
 def _powers_of(series: list[float], K: int) -> dict[int, list[float]]:
@@ -161,7 +159,7 @@ def revert_odd_series(c: OddSeries) -> OddSeries:
     for r in range(3, K + 1, 2):
         acc = math.fsum(b[k] * powers[k][r] for k in range(1, r, 2))
         b[r] = -acc / c.coeffs[0] ** r
-    return OddSeries(tuple(b[k] for k in range(1, K + 1, 2)), K)
+    return OddSeries(tuple(b[k] for k in range(1, K + 1, 2)))
 
 
 def alternation_check(b: OddSeries) -> AlternationVerdict:

@@ -98,7 +98,8 @@ _QP = (
     -5.14105326766599330220e1,
     -6.05014350600728481186e0,
 )
-_QQ = (  # leading coefficient 1 implied
+_QQ = (
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -113,13 +114,6 @@ _PIO4 = 7.85398163397448309616e-1
 
 def _polevl(x, coef):
     ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -146,7 +140,7 @@ def bessel_j0(x):
         w = 5.0 / xl
         q = w * w
         p = _polevl(q, _PP) / _polevl(q, _PQ)
-        r = _polevl(q, _QP) / _p1evl(q, _QQ)
+        r = _polevl(q, _QP) / _polevl(q, _QQ)
         xn = xl - _PIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * r * np.sin(xn)) / np.sqrt(xl)
 

@@ -101,6 +101,17 @@ class TestSweepCommand:
         assert lines[0] == "eta,value,error_estimate"
         assert len(lines) == 12
 
+    def test_text_format(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--lo", "0", "--hi", "0.4",
+                                        "--steps", "4", "--format", "text"])
+        assert code == 0
+        lines = out.rstrip("\n").split("\n")
+        assert len(lines) == 7
+        assert lines[0].startswith("eta = 0  value = ")
+        assert "  error_estimate = " in lines[0]
+        assert lines[-2].startswith("best_eta = ")
+        assert lines[-1].startswith("best_value = ")
+
     def test_inverted_range_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--lo", "1", "--hi", "0"])
         assert code == 2
@@ -143,6 +154,14 @@ class TestSeriesCommand:
         code, out, _ = run_cli(capsys, ["series", "--eta", "12", "--order", "15"])
         assert code == 0
         assert len(json.loads(out)["direct_coefficients"]) == 8
+
+    def test_huge_eta_exits_three(self, capsys):
+        # the value is computed first, so its non-convergence is reported
+        # before the series overflows
+        code, out, err = run_cli(capsys, ["series", "--eta", "1e300"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("signcorr: non-convergence: ")
 
     def test_even_order_exits_two(self, capsys):
         code, _, err = run_cli(capsys, ["series", "--eta", "0.228",
@@ -300,6 +319,16 @@ class TestFormatsAndEnvironment:
         assert json.loads(on_disk)["pass"] is True
         assert on_disk.endswith("\n")
 
+    def test_out_unwritable_path_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, ["verify", "--eta", "0.228",
+                                          "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("signcorr: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -309,6 +338,72 @@ class TestFormatsAndEnvironment:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+
+USAGE_ERRORS = [
+    (["verify", "--eta", "0.228", "--tol", "0"],
+     "signcorr verify: error: argument --tol: must be positive and finite, got 0"),
+    (["verify", "--eta", "0.228", "--tol", "inf"],
+     "signcorr verify: error: argument --tol: must be positive and finite, got inf"),
+    (["sweep", "--lo", "0", "--hi", "1", "--tol", "nan"],
+     "signcorr sweep: error: argument --tol: must be positive and finite, got nan"),
+    (["optimize", "--lo", "0.1", "--hi", "0.4", "--tol", "inf"],
+     "signcorr optimize: error: argument --tol: must be positive and finite, got inf"),
+    (["optimize", "--lo", "0.1", "--hi", "0.4", "--xtol", "-1"],
+     "signcorr optimize: error: argument --xtol: must be positive and finite, got -1"),
+    (["optimize", "--lo", "0.1", "--hi", "0.4", "--xtol", "inf"],
+     "signcorr optimize: error: argument --xtol: must be positive and finite, got inf"),
+    (["verify", "--eta", "0.228", "--format", "csv"],
+     "signcorr: error: csv output is only available for the sweep command"),
+    (["verify", "--eta", "nan"],
+     "signcorr: error: --eta must be finite, got nan"),
+    (["sweep", "--lo", "1", "--hi", "0"],
+     "signcorr: error: --lo must not exceed --hi, got [1.0, 0.0]"),
+    (["series", "--eta", "0.228", "--order", "4"],
+     "signcorr: error: order must be odd, got 4"),
+    (["optimize", "--lo", "0.4", "--hi", "0.1"],
+     "signcorr: error: need --lo < --hi, got [0.4, 0.1]"),
+    (["mc", "--family", "identity1", "--eta", "0.2", "--seed", "1"],
+     "signcorr: error: identity1 takes no --eta or --epsilon"),
+    (["mc", "--family", "rotation3", "--seed", "1"],
+     "signcorr: error: rotation3 requires --eta"),
+    (["mc", "--family", "rotation3", "--eta", "0.2", "--epsilon", "0.1",
+      "--seed", "1"],
+     "signcorr: error: rotation3 takes --eta, not --epsilon"),
+    (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"],
+     "signcorr: error: --eta must be finite, got inf"),
+    (["mc", "--family", "hermite5", "--seed", "1"],
+     "signcorr: error: hermite5 requires --epsilon"),
+    (["mc", "--family", "hermite5", "--epsilon", "0.1", "--eta", "0.2",
+      "--seed", "1"],
+     "signcorr: error: hermite5 takes --epsilon, not --eta"),
+    (["mc", "--family", "hermite5", "--epsilon", "nan", "--seed", "1"],
+     "signcorr: error: --epsilon must be finite, got nan"),
+    (["mc", "--family", "identity1", "--target", "phi-t", "--seed", "1"],
+     "signcorr: error: --target phi-t requires --t"),
+    (["mc", "--family", "rotation3", "--eta", "0.228", "--target", "phi-t",
+      "--t", "2", "--seed", "1"],
+     "signcorr: error: --t must satisfy |t| <= 1, got 2.0"),
+    (["mc", "--family", "identity1", "--t", "0.5", "--seed", "1"],
+     "signcorr: error: --t is only meaningful with --target phi-t"),
+    (["mc", "--family", "identity1", "--samples", "0", "--seed", "1"],
+     "signcorr mc: error: argument --samples: must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv,line", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_usage_error_exits_two_with_one_message(capsys, argv, line):
+    # argparse rejects bad flag values itself (SystemExit); the handlers'
+    # checks raise ValueError, which main turns into exit code 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == line
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
