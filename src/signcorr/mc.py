@@ -3,12 +3,18 @@ odd family, at real correlation t or on the imaginary axis.
 
 Sampling is counter-based (SplitMix64 over a sample-indexed counter) with a
 Box-Muller normal transform, so any (family, samples, seed) triple yields a
-bit-identical estimate on every platform and run, independent of batching.
+bit-identical estimate on every platform and run, independent of batching and
+of how many threads weight a batch's blocks. Blocks run concurrently on the
+CPUs the process may use, so a family's F and G must be safe to call at the
+same time on disjoint blocks.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,7 +50,9 @@ _INV_2_53 = 2.0**-53
 class Family:
     """An odd pair F, G: R^n -> R with its name and dimension.
 
-    F and G take an (N, n) array of points and return N values.
+    F and G take an (N, n) array of points and return N values. They are
+    called concurrently from several threads, each on its own block of
+    points, so they must not mutate shared state.
     """
 
     name: str
@@ -119,13 +127,66 @@ def _normals(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (`taskset` narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_blocks(fill: Callable[[int, int], None], nb: int, step: int) -> None:
+    """Call fill(c0, c1) once for each block [c0, c0 + step) of [0, nb), on
+    the calling thread and one helper thread per further CPU. Threads take
+    block starts from one shared iterator. A helper fills its block in two
+    halves, so it adds half a block's temporaries to the peak memory, not a
+    whole block's. Helpers run in a copy of the caller's context, so its
+    np.errstate applies in them. The first exception any thread raises stops
+    further claims and is re-raised here once every helper has joined."""
+    starts = iter(range(0, nb, step))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work(sub: int) -> None:
+        try:
+            while True:
+                with lock:
+                    c0 = None if errors else next(starts, None)
+                if c0 is None:
+                    return
+                end = min(c0 + step, nb)
+                for s0 in range(c0, end, sub):
+                    fill(s0, min(s0 + sub, end))
+        except BaseException as exc:  # handed to the caller below
+            errors.append(exc)
+
+    helpers = [
+        threading.Thread(
+            target=contextvars.copy_context().run, args=(work, max(1, step // 2))
+        )
+        for _ in range(min(_worker_count(), -(-nb // step)) - 1)
+    ]
+    started = []
+    try:
+        for h in helpers:
+            h.start()
+            started.append(h)
+        work(step)
+    finally:
+        for h in started:
+            h.join()
+    if errors:
+        raise errors[0]
+
+
 def _accumulate(
     family: Family, samples: int, seed: int, weights: Callable
 ) -> McEstimate:
-    """Stream batches of 2n normals per sample through `weights`, one block of
-    about _BLOCK normals at a time. The stream is counter-indexed and the
-    weights act row by row, so blocking changes no bits; the fixed batch size
-    and per-batch numpy sums keep the reduction bit-stable."""
+    """Stream batches of 2n normals per sample through `weights`, in blocks
+    of about _BLOCK normals spread over the available CPUs. The stream is
+    counter-indexed, the weights act row by row and each block writes only
+    its own rows, so neither blocking nor the thread count changes a bit; the
+    fixed batch size and per-batch numpy sums keep the reduction bit-stable."""
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -137,10 +198,12 @@ def _accumulate(
     for lo in range(0, samples, _BATCH):
         nb = min(_BATCH, samples - lo)
         w = np.empty(nb)
-        for c0 in range(0, nb, step):
-            c1 = min(c0 + step, nb)
+
+        def fill(c0: int, c1: int) -> None:
             z = _normals(seed, (lo + c0) * stride, (c1 - c0) * stride)
             w[c0:c1] = weights(z.reshape(c1 - c0, stride))
+
+        _fill_blocks(fill, nb, step)
         sums.append(float(np.sum(w)))
         sqsums.append(float(np.sum(w * w)))
     total = math.fsum(sums)

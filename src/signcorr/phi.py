@@ -44,6 +44,11 @@ _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
 _CUTOFF = 100.0
 _BOX = 14.0
+# numpy error state for every route's solve: at an eta near the float maximum
+# a route's phase overflows and its cosine is NaN, which the quadrature
+# reports as non-convergence in its first round, so a warning would only
+# repeat it
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,13 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
     [0, _CUTOFF] x [0, pi], with the radial tail charged to the error."""
     eta = family.eta
-    r = integrate_2d(
-        lambda rho, th: _integrand_polar(eta, rho, th),
-        (0.0, _CUTOFF),
-        (0.0, math.pi),
-        tol / _PREFACTOR,
-    )
+    with np.errstate(**_QUIET):
+        r = integrate_2d(
+            lambda rho, th: _integrand_polar(eta, rho, th),
+            (0.0, _CUTOFF),
+            (0.0, math.pi),
+            tol / _PREFACTOR,
+        )
     # |integrand| <= argsinh(1) e^{-rho}, integrated over the theta range
     tail = _ASINH1 * math.pi * math.exp(-_CUTOFF)
     return QuadResult(
@@ -119,7 +125,8 @@ def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
             * np.cos(x * y / 2.0)
         )
 
-    r = integrate_2d(f, (0.0, _BOX), (0.0, _BOX), tol / _PREFACTOR)
+    with np.errstate(**_QUIET):
+        r = integrate_2d(f, (0.0, _BOX), (0.0, _BOX), tol / _PREFACTOR)
     # Gaussian tail outside the box, with the plane prefactor folded in;
     # _BOX = 14 puts this near 1e-22
     tail = 8.0 * _ASINH1 * math.sqrt(math.pi) / _BOX * math.exp(-_BOX * _BOX / 4.0)
@@ -140,7 +147,8 @@ def _radial(family, outer, rate, kernel, pref, bound, tol) -> QuadResult:
     def g(rho):
         return outer(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rate * rho) * kernel(rho)
 
-    r = integrate_1d(g, 0.0, _CUTOFF, tol / pref)
+    with np.errstate(**_QUIET):
+        r = integrate_1d(g, 0.0, _CUTOFF, tol / pref)
     tail = bound * math.exp(-rate * _CUTOFF) / rate
     return QuadResult(pref * r.value, pref * (r.error_estimate + tail), r.evaluations)
 

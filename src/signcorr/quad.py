@@ -21,7 +21,8 @@ __all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when adaptive subdivision exhausts its evaluation budget."""
+    """Raised when adaptive subdivision exhausts its evaluation budget or the
+    integrand returns a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,8 @@ def _lockstep(
     problem's panels do not depend on the others. Returns each problem's value
     and error (fsum of its accepted panels in position order) and the total
     evaluations. The round that would overrun the budget raises
-    NonConvergenceError before it is evaluated.
+    NonConvergenceError before it is evaluated, and a round that returns a
+    non-finite value raises it at once.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
@@ -138,6 +140,12 @@ def _lockstep(
             fv = np.asarray(
                 f(np.repeat(po, _NODES.size), pts.ravel()), dtype=float
             ).reshape(pts.shape)
+            if not np.isfinite(fv).all():
+                i = np.flatnonzero(~np.isfinite(fv))[0]
+                raise NonConvergenceError(
+                    f"non-finite integrand value {fv.flat[i]} at {pts.flat[i]} "
+                    f"on [{a}, {b}]"
+                )
 
             ik = (fv @ _WK15) * hw
             ig = (fv @ _WG7) * hw
@@ -189,7 +197,8 @@ def integrate_1d(
     Subdivision stops per panel when the K15-G7 discrepancy drops below tol
     scaled by the panel's share of the interval. A refinement round that
     would take the evaluations past max_evals raises NonConvergenceError
-    instead, so evaluations never exceed max_evals.
+    instead, so evaluations never exceed max_evals; so does the first round
+    in which f returns a non-finite value.
     """
     _check_interval(a, b, tol)
     if a == b:

@@ -457,6 +457,19 @@ class TestSubprocessEntryPoints:
             assert c.returncode == 0, c.stderr
             assert a.stdout == c.stdout
 
+    def test_overflowing_eta_exits_three_at_once(self):
+        # eta * (2 rho - 1) overflows: one non-convergence line, no numpy
+        # warnings, well inside the budget's 10^6 evaluations
+        proc = subprocess.run(
+            [sys.executable, "-m", "signcorr", "verify", "--eta", "1e308"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("signcorr: non-convergence: non-finite integrand value")
+
     def test_float_serialization_is_17g(self):
         proc = subprocess.run(
             [sys.executable, "-m", "signcorr", "verify", "--eta", "0.228"],

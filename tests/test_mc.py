@@ -1,6 +1,9 @@
 """Seeded Monte Carlo estimators: reproducibility, closed-form cross-checks."""
 
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,14 @@ from signcorr import (
     phi_i_bessel,
     rotation3,
 )
+
+
+# (mean, stderr) frozen before batches were split into blocks: identity1 phi-t
+# at t 0.3 past one batch boundary, seed 5, and the README command
+# `mc --family rotation3 --eta 0.228 --seed 42`, whose bits the benchmark's
+# references freeze too
+FROZEN_ACROSS_BATCHES = (0.19360597471372273, 0.0009573023255627944)
+FROZEN_README = (0.5647312593125925, 0.0018234982741031406)
 
 
 def assert_within_sigma(estimate, truth, sigma=4.0):
@@ -69,20 +80,18 @@ class TestDeterminism:
 
     def test_batch_boundary_consistency(self):
         # a sample count that crosses the internal batch size stays bitwise
-        # reproducible, at the value frozen before batches were split into blocks
+        # reproducible
         n = (1 << 20) + 1717
         a = estimate_phi_t(identity1(), 0.3, n, 5)
         b = estimate_phi_t(identity1(), 0.3, n, 5)
         assert a.mean == b.mean
         assert a.samples == n
-        assert (a.mean, a.stderr) == (0.19360597471372273, 0.0009573023255627944)
+        assert (a.mean, a.stderr) == FROZEN_ACROSS_BATCHES
 
     def test_readme_command_frozen(self):
-        # `mc --family rotation3 --eta 0.228 --seed 42`: the stream, the weights
-        # and the reduction order all show in these bits, which the benchmark's
-        # references freeze too
+        # the stream, the weights and the reduction order all show in these bits
         est = estimate_phi_i(rotation3(0.228), 10**6, 42)
-        assert (est.mean, est.stderr) == (0.5647312593125925, 0.0018234982741031406)
+        assert (est.mean, est.stderr) == FROZEN_README
 
 
 def _whole_batch_accumulate(family, samples, seed, weights):
@@ -130,14 +139,91 @@ class TestBlocking:
 
     def test_working_memory_bounded(self):
         # one full batch: about 16 MB blocked, 264 MB with batch-sized temporaries
-        fam = rotation3(0.228)
-        tracemalloc.start()
+        assert _one_batch_peak() < 32 * 2**20
+
+
+def _one_batch_peak():
+    """Bytes tracemalloc sees at most while one rotation3 batch is weighted."""
+    tracemalloc.start()
+    try:
+        estimate_phi_i(rotation3(0.228), 1 << 20, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def hermite5_across_batches():
+    """Arguments of an estimate_phi_t call past one batch boundary, and the
+    whole-batch oracle's estimate for them."""
+    args = (hermite5(0.1), 0.6, mc._BATCH + 3 * (mc._BLOCK // 4) + 7, 13)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_accumulate", _whole_batch_accumulate)
+        return args, estimate_phi_t(*args)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_bits_independent_of_worker_count(
+        self, workers, monkeypatch, hermite5_across_batches
+    ):
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        args, oracle = hermite5_across_batches
+        assert estimate_phi_t(*args) == oracle
+        est = estimate_phi_t(identity1(), 0.3, (1 << 20) + 1717, 5)
+        assert (est.mean, est.stderr) == FROZEN_ACROSS_BATCHES
+        est = estimate_phi_i(rotation3(0.228), 10**6, 42)
+        assert (est.mean, est.stderr) == FROZEN_README
+
+    def test_bits_kept_under_fast_thread_switching(self, monkeypatch):
+        # more threads than cores, switching every 10 us: a block written
+        # twice, skipped or torn would move these bits
+        monkeypatch.setattr(mc, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            estimate_phi_i(fam, 1 << 20, 0)
-            peak = tracemalloc.get_traced_memory()[1]
+            est = estimate_phi_t(identity1(), 0.3, (1 << 20) + 1717, 5)
         finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+            sys.setswitchinterval(interval)
+        assert (est.mean, est.stderr) == FROZEN_ACROSS_BATCHES
+
+    def test_exception_on_later_block_propagates(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 3)
+        calls = itertools.count()
+
+        class Boom(Exception):
+            pass
+
+        def F(x):
+            if next(calls) == 9:
+                raise Boom("block 5")
+            return x[:, 0]
+
+        baseline = threading.active_count()
+        with pytest.raises(Boom, match="block 5"):
+            estimate_phi_t(mc.Family("boom", 1, F, F), 0.5, 20 * (mc._BLOCK // 2), 0)
+        assert next(calls) < 40  # F and G once per block: claims stopped early
+        assert threading.active_count() == baseline
+
+    def test_caller_errstate_applies_on_helpers(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+        caller, helper_ran = threading.current_thread(), threading.Event()
+
+        def F(x):
+            if threading.current_thread() is caller:
+                helper_ran.wait(timeout=60)  # leave a block to the helper
+                return x[:, 0]
+            helper_ran.set()
+            return x[:, 0] * 1e308 * 10.0  # overflows for |x| > 0.18
+
+        fam = mc.Family("overflow", 1, F, F)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            estimate_phi_t(fam, 0.5, 4 * (mc._BLOCK // 2), 0)
+        assert helper_ran.is_set()
+
+    def test_working_memory_bounded_at_8_workers(self, monkeypatch):
+        monkeypatch.setattr(mc, "_worker_count", lambda: 8)
+        assert _one_batch_peak() < 32 * 2**20
 
 
 class TestClosedFormCrossChecks:

@@ -2,6 +2,7 @@
 and the threshold verification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from signcorr import (
     phi_real_t,
     verify_theorem,
 )
+from signcorr import phi
 from signcorr.phi import _integrand_polar
+from signcorr.quad import _NODES, NonConvergenceError
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
 V_REF = {
@@ -214,6 +217,39 @@ class TestPhiRealTRadial:
             assert abs(r.value - truth) <= r.error_estimate
             assert abs(r.value) <= 2.0 / math.pi * math.asin(t)
         assert abs(plus.value + minus.value) <= plus.error_estimate + minus.error_estimate
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="K15-G7 heuristic: at eta 20, t 0.95 the error is 6.14e-11 "
+        "against an estimate of 6.02e-11",
+    )
+    def test_error_estimate_covers_error_at_large_eta(self):
+        fam = RotationFamily(20.0)
+        r = phi_real_t(fam, 0.95, 1e-9)
+        assert abs(r.value - phi_real_t(fam, 0.95, 1e-13).value) <= r.error_estimate
+
+
+class TestNonFiniteIntegrand:
+    @pytest.mark.parametrize("route", [phi_i_bessel, phi_i_polar, phi_i_cartesian])
+    def test_overflowing_eta_fails_fast_and_quietly(self, route):
+        # eta (2 rho - 1) overflows to inf and cos(inf) is NaN: the first
+        # round raises, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="non-finite integrand value nan"):
+                route(RotationFamily(1e308))
+
+    def test_raised_before_a_second_round(self, monkeypatch):
+        calls, j0 = [], phi.bessel_j0
+
+        def counting_j0(x):
+            calls.append(x.size)
+            return j0(x)
+
+        monkeypatch.setattr(phi, "bessel_j0", counting_j0)
+        with pytest.raises(NonConvergenceError):
+            phi_i_bessel(RotationFamily(1e308))
+        assert calls == [_NODES.size]
 
 
 class TestVerifyTheorem:

@@ -154,6 +154,14 @@ class TestIntegrate1d:
             integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 100.0, 1e-14,
                          max_evals=500)
 
+    def test_non_finite_value_raises_in_first_round(self):
+        # NaN on half the interval: reported in the round that meets it, not
+        # after the budget is spent splitting panels around it
+        f = CountingIntegrand(lambda x: np.where(x > 0.5, np.nan, 1.0))
+        with pytest.raises(NonConvergenceError, match="non-finite integrand value nan at"):
+            integrate_1d(f, 0.0, 1.0, 1e-9)
+        assert f.points == _NODES.size
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 1.0, 0.0, 1e-10)
