@@ -96,23 +96,21 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _cmd_verify(args, fmt: str):
+def _cmd_verify(args):
     eta = _finite("eta", args.eta)
     report = verify_theorem(RotationFamily(eta), args.method, args.tol)
     payload = {
-        "command": "verify",
         "inputs": {"eta": eta, "method": args.method, "tol": args.tol},
         "value": report.phi_i_value,
         "error_estimate": report.error_estimate,
         "threshold": report.threshold,
         "margin": report.margin,
         "pass": report.passed,
-        "version": __version__,
     }
-    return (0 if report.passed else 1), _render_report(payload, fmt)
+    return (0 if report.passed else 1), payload
 
 
-def _cmd_sweep(args, fmt: str):
+def _cmd_sweep(args, fmt: str) -> str:
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if lo > hi:
         raise ValueError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
@@ -120,23 +118,23 @@ def _cmd_sweep(args, fmt: str):
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]
         lines += [f"{_fmt(e)},{_fmt(v)},{_fmt(err)}" for e, v, err in scan.points]
-        return 0, "\n".join(lines)
+        return "\n".join(lines)
     if fmt == "json":
         rows = [
             {"eta": e, "value": v, "error_estimate": err}
             for e, v, err in scan.points
         ]
-        return 0, _json_value(rows)
+        return _json_value(rows)
     lines = [
         f"eta = {_fmt(e)}  value = {_fmt(v)}  error_estimate = {_fmt(err)}"
         for e, v, err in scan.points
     ]
     lines.append(f"best_eta = {_fmt(scan.best_eta)}")
     lines.append(f"best_value = {_fmt(scan.best_value)}")
-    return 0, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def _cmd_series(args, fmt: str):
+def _cmd_series(args):
     eta = _finite("eta", args.eta)
     family = RotationFamily(eta)
     # first, so an eta too large for the series fails as non-convergence
@@ -145,7 +143,6 @@ def _cmd_series(args, fmt: str):
     inverse = revert_odd_series(direct)
     verdict = alternation_check(inverse)
     payload = {
-        "command": "series",
         "inputs": {"eta": eta, "order": args.order, "tol": args.tol},
         "value": vq.value,
         "error_estimate": vq.error_estimate,
@@ -159,8 +156,7 @@ def _cmd_series(args, fmt: str):
     # the bound 1/v exists only where Phi(i)/i is positive (eta below about 3)
     if vq.value > 0:
         payload["conditional_bound"] = conditional_bound(vq.value)
-    payload["version"] = __version__
-    return 0, _render_report(payload, fmt)
+    return 0, payload
 
 
 def _mc_family(args):
@@ -197,7 +193,7 @@ def _mc_reference(args) -> float | None:
     return phi_real_t(RotationFamily(args.eta), args.t).value
 
 
-def _cmd_mc(args, fmt: str):
+def _cmd_mc(args):
     family, params = _mc_family(args)
     inputs = {"family": args.family, **params, "target": args.target}
     if args.target == "phi-t":
@@ -215,7 +211,6 @@ def _cmd_mc(args, fmt: str):
     else:
         est = estimate_phi_i(family, args.samples, args.seed)
     payload = {
-        "command": "mc",
         "inputs": inputs,
         "value": est.mean,
         "stderr": est.stderr,
@@ -226,30 +221,28 @@ def _cmd_mc(args, fmt: str):
         payload["reference"] = reference
         if est.stderr > 0:
             payload["z_score"] = (est.mean - reference) / est.stderr
-    payload["version"] = __version__
-    return 0, _render_report(payload, fmt)
+    return 0, payload
 
 
-def _cmd_optimize(args, fmt: str):
+def _cmd_optimize(args):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if not lo < hi:
         raise ValueError(f"need --lo < --hi, got [{lo}, {hi}]")
     res = maximize_eta(lo, hi, args.xtol, args.tol)
     payload = {
-        "command": "optimize",
         "inputs": {"lo": lo, "hi": hi, "xtol": args.xtol, "tol": args.tol},
         "eta_star": res.eta_star,
         "value": res.value_star,
         "error_estimate": res.error_estimate,
         "unimodal": res.unimodal,
-        "version": __version__,
     }
-    return 0, _render_report(payload, fmt)
+    return 0, payload
 
 
-_HANDLERS = {
+# the commands whose report main wraps in the command name and the version;
+# sweep renders its own table
+_REPORTS = {
     "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
     "series": _cmd_series,
     "mc": _cmd_mc,
     "optimize": _cmd_optimize,
@@ -336,7 +329,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         fmt = _resolve_format(args.format)
-        code, text = _HANDLERS[args.command](args, fmt)
+        if args.command == "sweep":
+            code, text = 0, _cmd_sweep(args, fmt)
+        else:
+            code, payload = _REPORTS[args.command](args)
+            report = {"command": args.command, **payload, "version": __version__}
+            text = _render_report(report, fmt)
     except ValueError as exc:
         print(f"signcorr: error: {exc}", file=sys.stderr)
         return 2

@@ -44,11 +44,6 @@ _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
 _CUTOFF = 100.0
 _BOX = 14.0
-# numpy error state for every route's solve: at an eta near the float maximum
-# a route's phase overflows and its cosine is NaN, which the quadrature
-# reports as non-convergence in its first round, so a warning would only
-# repeat it
-_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -92,24 +87,34 @@ def _integrand_polar(eta: float, rho, theta):
     )
 
 
+def _solve(integrate, f, domain, pref, tail, tol) -> QuadResult:
+    """pref times the integral of f over domain (the interval arguments of
+    integrate) to tolerance tol in result units. The error estimate is pref
+    times the quadrature's plus tail, a bound in result units on what the
+    truncated domain leaves out."""
+    # at an eta near the float maximum the phase overflows and its cosine is
+    # NaN, which the quadrature reports as non-convergence in its first round,
+    # so a numpy warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = integrate(f, *domain, tol / pref)
+    return QuadResult(pref * r.value, pref * r.error_estimate + tail, r.evaluations)
+
+
+def _cutoff_tail(bound: float, rate: float) -> float:
+    """The integral over [_CUTOFF, inf) of bound e^{-rate rho}."""
+    return bound * math.exp(-rate * _CUTOFF) / rate
+
+
 def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
     [0, _CUTOFF] x [0, pi], with the radial tail charged to the error."""
-    eta = family.eta
-    with np.errstate(**_QUIET):
-        r = integrate_2d(
-            lambda rho, th: _integrand_polar(eta, rho, th),
-            (0.0, _CUTOFF),
-            (0.0, math.pi),
-            tol / _PREFACTOR,
-        )
+    def f(rho, th):
+        return _integrand_polar(family.eta, rho, th)
+
     # |integrand| <= argsinh(1) e^{-rho}, integrated over the theta range
-    tail = _ASINH1 * math.pi * math.exp(-_CUTOFF)
-    return QuadResult(
-        _PREFACTOR * r.value,
-        _PREFACTOR * (r.error_estimate + tail),
-        r.evaluations,
-    )
+    tail = _PREFACTOR * _cutoff_tail(_ASINH1 * math.pi, 1.0)
+    domain = ((0.0, _CUTOFF), (0.0, math.pi))
+    return _solve(integrate_2d, f, domain, _PREFACTOR, tail, tol)
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -125,32 +130,24 @@ def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
             * np.cos(x * y / 2.0)
         )
 
-    with np.errstate(**_QUIET):
-        r = integrate_2d(f, (0.0, _BOX), (0.0, _BOX), tol / _PREFACTOR)
     # Gaussian tail outside the box, with the plane prefactor folded in;
     # _BOX = 14 puts this near 1e-22
     tail = 8.0 * _ASINH1 * math.sqrt(math.pi) / _BOX * math.exp(-_BOX * _BOX / 4.0)
-    return QuadResult(
-        _PREFACTOR * r.value,
-        _PREFACTOR * r.error_estimate + tail,
-        r.evaluations,
-    )
+    return _solve(integrate_2d, f, ((0.0, _BOX), (0.0, _BOX)), _PREFACTOR, tail, tol)
 
 
 def _radial(family, outer, rate, kernel, pref, bound, tol) -> QuadResult:
     """pref times the integral over [0, _CUTOFF] of
     outer(cos(eta(2 rho - 1))) e^{-rate rho} kernel(rho) d rho. With
-    |outer| <= bound and |kernel| <= 1, the tail beyond _CUTOFF is at most
-    bound e^{-rate _CUTOFF} / rate, which is charged to the error."""
+    |outer| <= bound and |kernel| <= 1, the tail beyond _CUTOFF is charged
+    to the error."""
     eta = family.eta
 
     def g(rho):
         return outer(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rate * rho) * kernel(rho)
 
-    with np.errstate(**_QUIET):
-        r = integrate_1d(g, 0.0, _CUTOFF, tol / pref)
-    tail = bound * math.exp(-rate * _CUTOFF) / rate
-    return QuadResult(pref * r.value, pref * (r.error_estimate + tail), r.evaluations)
+    tail = pref * _cutoff_tail(bound, rate)
+    return _solve(integrate_1d, g, (0.0, _CUTOFF), pref, tail, tol)
 
 
 def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:

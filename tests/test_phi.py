@@ -229,6 +229,21 @@ class TestPhiRealTRadial:
         assert abs(r.value - phi_real_t(fam, 0.95, 1e-13).value) <= r.error_estimate
 
 
+class TestTruncationTail:
+    # At the real cutoffs the tails are 1e-43 and 1e-22, far below any
+    # quadrature estimate. Here they are 2.5e-10 to 3.9e-4, so a route that
+    # dropped its tail bound would under-report its error.
+    @pytest.mark.parametrize("cutoff,box", [(6.0, 4.0), (8.0, 5.0), (12.0, 6.0)])
+    def test_every_route_covers_its_truncation_error(self, monkeypatch, cutoff, box):
+        monkeypatch.setattr(phi, "_CUTOFF", cutoff)
+        monkeypatch.setattr(phi, "_BOX", box)
+        fam = RotationFamily(0.228)
+        cases = [(route.__name__, route(fam), V_REF[0.228]) for route in ROUTES]
+        cases.append(("phi_real_t", phi_real_t(fam, 0.3), PHI_T_REF_228_03))
+        for name, r, ref in cases:
+            assert abs(r.value - ref) <= r.error_estimate, name
+
+
 class TestNonFiniteIntegrand:
     @pytest.mark.parametrize("route", [phi_i_bessel, phi_i_polar, phi_i_cartesian])
     def test_overflowing_eta_fails_fast_and_quietly(self, route):
