@@ -1,5 +1,11 @@
 """Locate the eta maximizing Phi(i)/i: grid scans and golden-section search
 with a unimodality pre-check.
+
+Every value comes from the Bessel route. A batch of etas (a grid scan, the
+pre-scan, the two ends of a degenerate bracket) is solved in one call, each
+eta a quadrature lane of its own: its own panels, evaluation budget and
+rounding, so each value is the one phi_i_bessel gives at that eta alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import RotationFamily, phi_i_bessel
+from .phi import _phi_i_bessel_each
 from .quad import QuadResult
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
@@ -48,8 +54,9 @@ class MaximizeResult:
 def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult:
     """Evaluate Phi(i)/i at steps+1 equispaced eta values on [lo, hi].
 
-    steps = 0 (or lo = hi) collapses to a single evaluation. Ties on the
-    maximum go to the smallest eta.
+    All etas are solved together, one quadrature lane each, and every value
+    equals phi_i_bessel's at that eta. steps = 0 (or lo = hi) collapses to a
+    single evaluation. Ties on the maximum go to the smallest eta.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError(f"need finite lo <= hi, got [{lo}, {hi}]")
@@ -58,7 +65,7 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
-    results = [phi_i_bessel(RotationFamily(e), tol) for e in etas]
+    results = _phi_i_bessel_each(etas, tol)
     points = tuple(
         (e, r.value, r.error_estimate) for e, r in zip(etas, results)
     )
@@ -71,10 +78,11 @@ def maximize_eta(
 ) -> MaximizeResult:
     """Golden-section maximization of Phi(i)/i over [lo, hi].
 
-    A 16-point pre-scan checks unimodality within error bars and supplies the
-    starting bracket around its argmax; golden-section then narrows it below
-    xtol. The result is the best of every evaluation made, so it dominates
-    the pre-scan grid by construction.
+    A 16-point pre-scan, solved as one batch of quadrature lanes, checks
+    unimodality within error bars and supplies the starting bracket around
+    its argmax; golden-section then narrows it below xtol, one eta per step,
+    since each step depends on the last. The result is the best of every
+    evaluation made, so it dominates the pre-scan grid by construction.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
@@ -85,9 +93,13 @@ def maximize_eta(
 
     cache: dict[float, QuadResult] = {}
 
+    def solve(etas: list[float]) -> None:
+        new = [e for e in dict.fromkeys(etas) if e not in cache]
+        cache.update(zip(new, _phi_i_bessel_each(new, quad_tol)))
+
     def value(eta: float) -> float:
         if eta not in cache:
-            cache[eta] = phi_i_bessel(RotationFamily(eta), quad_tol)
+            solve([eta])
         return cache[eta].value
 
     def finish(unimodal: bool) -> MaximizeResult:
@@ -99,12 +111,12 @@ def maximize_eta(
 
     if hi - lo <= xtol:
         # degenerate bracket: report the better endpoint
-        value(lo)
-        value(hi)
+        solve([lo, hi])
         return finish(True)
 
     grid = [float(e) for e in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    vals = [value(e) for e in grid]
+    solve(grid)
+    vals = [cache[e].value for e in grid]
     errs = [cache[e].error_estimate for e in grid]
     peak = max(range(len(grid)), key=lambda i: vals[i])
     unimodal = True

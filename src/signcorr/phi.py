@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadResult, integrate_1d, integrate_2d
+from .quad import QuadResult, _integrate_lanes, integrate_1d, integrate_2d
 from .specfun import _bessel_i0e, bessel_j0
 
 __all__ = [
@@ -136,24 +136,35 @@ def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     return _solve(integrate_2d, f, ((0.0, _BOX), (0.0, _BOX)), _PREFACTOR, tail, tol)
 
 
-def _radial(family, outer, rate, kernel, pref, bound, tol) -> QuadResult:
-    """pref times the integral over [0, _CUTOFF] of
-    outer(cos(eta(2 rho - 1))) e^{-rate rho} kernel(rho) d rho. With
-    |outer| <= bound and |kernel| <= 1, the tail beyond _CUTOFF is charged
-    to the error."""
-    eta = family.eta
+def _phi_i_bessel_each(etas, tol: float) -> list[QuadResult]:
+    """phi_i_bessel at every eta of a sequence, one quadrature lane each,
+    solved together: each result is the one phi_i_bessel gives alone, bit
+    for bit."""
+    eta = np.array(etas, dtype=float)
 
-    def g(rho):
-        return outer(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rate * rho) * kernel(rho)
+    def g(lane, rho):
+        return (
+            np.arcsinh(np.cos(eta[lane] * (2.0 * rho - 1.0)))
+            * np.exp(-rho)
+            * bessel_j0(rho)
+        )
 
-    tail = pref * _cutoff_tail(bound, rate)
-    return _solve(integrate_1d, g, (0.0, _CUTOFF), pref, tail, tol)
+    def integrate(f, a, b, tol):
+        return _integrate_lanes(f, a, b, tol, eta.size)
+
+    # |arcsinh(cos)| <= argsinh(1) and |J0| <= 1
+    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
+    r = _solve(integrate, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
+    fields = (r.value.tolist(), r.error_estimate.tolist(), r.evaluations.tolist())
+    return [QuadResult(*x) for x in zip(*fields)]
 
 
 def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
-    """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral against
-    e^{-rho} J0(rho); the theta integral collapses to pi J0(rho)."""
-    return _radial(family, np.arcsinh, 1.0, bessel_j0, _PREFACTOR_BESSEL, _ASINH1, tol)
+    """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral over
+    [0, _CUTOFF] of argsinh(cos(eta(2 rho - 1))) e^{-rho} J0(rho); the theta
+    integral collapses to pi J0(rho). The tail beyond _CUTOFF is charged to
+    the error."""
+    return _phi_i_bessel_each([family.eta], tol)[0]
 
 
 def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
@@ -161,20 +172,26 @@ def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResul
     arcsin(t cos(eps(x^2+y^2-2))) against the t-correlated Gaussian density.
     In polar coordinates about the diagonals the angular integral is I0, so
     Phi(t) = 4 / (pi sqrt(1-t^2)) * int_0^inf arcsin(t cos(eta(2 rho - 1)))
-    e^{-2 rho/(1+|t|)} e^{-x} I0(x) d rho, x = 2 |t| rho / (1-t^2)."""
+    e^{-2 rho/(1+|t|)} e^{-x} I0(x) d rho, x = 2 |t| rho / (1-t^2). The
+    tail beyond _CUTOFF is charged to the error."""
     if not abs(t) < 1:
         raise ValueError(f"need |t| < 1, got t={t}")
     omt2 = 1.0 - t * t
     scale = 2.0 * abs(t) / omt2
-    return _radial(
-        family,
-        lambda c: np.arcsin(t * c),
-        2.0 / (1.0 + abs(t)),
-        lambda rho: _bessel_i0e(scale * rho),
-        4.0 / (math.pi * math.sqrt(omt2)),
-        math.asin(abs(t)),
-        tol,
-    )
+    rate = 2.0 / (1.0 + abs(t))
+    pref = 4.0 / (math.pi * math.sqrt(omt2))
+    eta = family.eta
+
+    def g(rho):
+        return (
+            np.arcsin(t * np.cos(eta * (2.0 * rho - 1.0)))
+            * np.exp(-rate * rho)
+            * _bessel_i0e(scale * rho)
+        )
+
+    # |arcsin(t cos)| <= arcsin|t| and e^{-x} I0(x) <= 1
+    tail = pref * _cutoff_tail(math.asin(abs(t)), rate)
+    return _solve(integrate_1d, g, (0.0, _CUTOFF), pref, tail, tol)
 
 
 _ROUTES = {

@@ -2,11 +2,15 @@
 
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
-in a few integrand calls, the way integrate_2d solves the inner integrals of
-a whole outer round. All final reductions run in fixed position order, so
-identical inputs produce bit-identical results regardless of how panels were
-discovered. One evaluation budget covers a whole solve, nested solves
-included.
+in a few integrand calls. Problems come in lanes. A lane is a group of
+problems that share one row layout and one evaluation budget: integrate_1d
+is one lane holding one problem, the inner solves of an integrate_2d round
+are one lane holding many, and a sweep is one lane per integrand. Each lane
+gets the bits it would get if solved alone, so a result does not depend on
+what else is solved with it. All final reductions run in fixed position
+order, so identical inputs produce bit-identical results regardless of how
+panels were discovered. One evaluation budget covers a whole solve, nested
+solves included; each lane of a sweep is a solve of its own.
 """
 
 from __future__ import annotations
@@ -73,11 +77,13 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
-# panels per integrand call, which bounds a round's working memory. BLAS dgemv
-# sums a row by a kernel chosen by its place among groups of four rows, so a
-# multiple of 4 gives every row of a split one-problem round (an even count
-# after the first round) the kernel it had in the whole round: a one-problem
-# solve keeps its bits.
+# panels per integrand call and per lane block (at most _BLOCK consecutive
+# panels of one lane), and lanes per sweep solve, which bounds a round's
+# working memory. BLAS dgemv sums a row by a kernel chosen by its place among
+# groups of four rows, so each lane's K15/G7 sums run on its own lane blocks,
+# as they would alone; a multiple of 4 gives every row of a split one-problem
+# round (an even count after the first round) the kernel it had in the whole
+# round, so a one-problem solve keeps its bits however its round is blocked.
 _BLOCK = 128
 
 
@@ -98,6 +104,11 @@ class _Budget:
         self.spent += n
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """np.concatenate(parts), without the copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _lockstep(
     f: Callable,
     a: float,
@@ -105,73 +116,112 @@ def _lockstep(
     tol: float,
     problems: int,
     min_panels: int,
-    budget: _Budget,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
-    the same tolerance.
+    *budgets: _Budget,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive G7K15 on [a, b] for many integrands at once, all to the same
+    tolerance.
 
-    f(owner, x) receives flat arrays of problem indices and abscissae and
-    returns the matching values. Each round evaluates every live panel of
-    every problem; a panel is accepted or halved by its own K15-G7 gap, so a
-    problem's panels do not depend on the others. Returns each problem's value
-    and error (fsum of its accepted panels in position order) and the total
-    evaluations. The round that would overrun the budget raises
-    NonConvergenceError before it is evaluated, and a round that returns a
-    non-finite value raises it at once.
+    Each budget opens a lane of `problems` integrands; problem p of lane k
+    has index k * problems + p. f(owner, x) receives flat arrays of problem
+    indices and abscissae and returns the matching values. Each round
+    evaluates every live panel of every problem; a panel is accepted or
+    halved by its own K15-G7 gap, so a problem's panels do not depend on the
+    others. A lane's rows keep the order a solve of that lane alone would
+    give them (its split left halves, then their right halves) and its K15
+    and G7 sums run on blocks of at most _BLOCK of its own rows, so every
+    lane gets the bits it would get alone. The integrand sees whole lane
+    blocks, packed into calls of at most _BLOCK panels; everything
+    elementwise runs once per round.
+
+    Returns each problem's value and error (fsum of its accepted panels in
+    position order) and each lane's evaluations. The round that would
+    overrun a lane's budget raises NonConvergenceError before it is
+    evaluated, and an integrand call that returns a non-finite value raises
+    it at once.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
     edges = np.linspace(a, b, min_panels + 1)
-    lo = np.tile(edges[:-1], problems)
-    hi = np.tile(edges[1:], problems)
-    owner = np.repeat(np.arange(problems), min_panels)
+    total = len(budgets) * problems
+    lo = np.tile(edges[:-1], total)
+    hi = np.tile(edges[1:], total)
+    owner = np.repeat(np.arange(total), min_panels)
+    rows = [problems * min_panels] * len(budgets)  # each lane's, contiguous
     done: list[tuple[np.ndarray, ...]] = []
-    nev = 0
+    nev = [0] * len(budgets)
 
     while lo.size:
-        budget.spend(lo.size * _NODES.size, a, b, tol)
-        nev += lo.size * _NODES.size
-        split = []
-        for s in range(0, lo.size, _BLOCK):
-            pl, ph, po = lo[s : s + _BLOCK], hi[s : s + _BLOCK], owner[s : s + _BLOCK]
-            mid = 0.5 * (pl + ph)
-            hw = 0.5 * (ph - pl)
-            pts = mid[:, None] + hw[:, None] * _NODES[None, :]
-            fv = np.asarray(
-                f(np.repeat(po, _NODES.size), pts.ravel()), dtype=float
-            ).reshape(pts.shape)
-            if not np.isfinite(fv).all():
-                i = np.flatnonzero(~np.isfinite(fv))[0]
+        blocks = []  # (start, end) of each lane block
+        start = 0
+        for k, n in enumerate(rows):
+            if n:
+                budgets[k].spend(n * _NODES.size, a, b, tol)
+                nev[k] += n * _NODES.size
+                blocks += [
+                    (s, min(s + _BLOCK, start + n))
+                    for s in range(start, start + n, _BLOCK)
+                ]
+                start += n
+        cuts = [0]  # integrand calls: whole lane blocks, at most _BLOCK panels
+        for s, e in blocks:
+            if e - cuts[-1] > _BLOCK:
+                cuts.append(s)
+        cuts.append(lo.size)
+
+        mid = 0.5 * (lo + hi)
+        hw = 0.5 * (hi - lo)
+        pts = mid[:, None] + hw[:, None] * _NODES[None, :]
+        owners = np.repeat(owner, _NODES.size)
+        parts = []
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            v = np.asarray(
+                f(owners[s * _NODES.size : e * _NODES.size], pts[s:e].ravel()),
+                dtype=float,
+            )
+            if not np.isfinite(v).all():
+                i = np.flatnonzero(~np.isfinite(v))[0]
                 raise NonConvergenceError(
-                    f"non-finite integrand value {fv.flat[i]} at {pts.flat[i]} "
+                    f"non-finite integrand value {v[i]} at {pts[s:e].flat[i]} "
                     f"on [{a}, {b}]"
                 )
+            parts.append(v)
+        fv = _joined(parts).reshape(pts.shape)
 
-            ik = (fv @ _WK15) * hw
-            ig = (fv @ _WG7) * hw
-            err = np.abs(ik - ig)
-            resabs = (np.abs(fv) @ _WK15) * hw
-            # per-panel target scales with panel width; the roundoff floor
-            # stops subdivision once the discrepancy is pure double-precision
-            # noise
-            target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
-            ok = (err <= target) | (2.0 * hw <= width_floor)
-            done.append((po[ok], pl[ok], ik[ok], err[ok]))
-            split.append((pl[~ok], ph[~ok], po[~ok]))
+        # BLAS dgemv picks a row's summation kernel by its place in the
+        # matrix, so the sums run per lane block, as they would alone
+        ik, ig, resabs = (
+            _joined([m[s:e] @ w for s, e in blocks]) * hw
+            for m, w in ((fv, _WK15), (fv, _WG7), (np.abs(fv), _WK15))
+        )
+        err = np.abs(ik - ig)
+        # per-panel target scales with panel width; the roundoff floor stops
+        # subdivision once the discrepancy is pure double-precision noise
+        target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
+        ok = (err <= target) | (2.0 * hw <= width_floor)
+        done.append((owner[ok], lo[ok], ik[ok], err[ok]))
 
-        bl, bh, bo = (np.concatenate(c) for c in zip(*split))
+        bad = ~ok
+        bl, bh, bo = lo[bad], hi[bad], owner[bad]
         mids = 0.5 * (bl + bh)
         lo = np.concatenate([bl, mids])
         hi = np.concatenate([mids, bh])
         owner = np.concatenate([bo, bo])
+        if len(rows) == 1:
+            rows = [lo.size]
+        else:
+            # regroup by lane: each lane's left halves, then its right halves
+            lane = owner // problems
+            order = np.argsort(lane, kind="stable")
+            lo, hi, owner = lo[order], hi[order], owner[order]
+            rows = np.bincount(lane, minlength=len(rows)).tolist()
 
     own, pos, val, err = (np.concatenate(c) for c in zip(*done))
     order = np.lexsort((pos, own))
-    cuts = np.searchsorted(own[order], np.arange(problems + 1))
+    cuts = np.searchsorted(own[order], np.arange(total + 1))
     val, err = val[order].tolist(), err[order].tolist()
     values = np.array([math.fsum(val[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
     errors = np.array([math.fsum(err[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
-    return values, errors, nev
+    return values, errors, np.array(nev)
 
 
 def _check_interval(a: float, b: float, tol: float) -> None:
@@ -181,6 +231,32 @@ def _check_interval(a: float, b: float, tol: float) -> None:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _integrate_lanes(
+    f: Callable, a: float, b: float, tol: float, lanes: int, max_evals: int = 10**6
+) -> QuadResult:
+    """Integrate f(lane, x) over [a, b] for every lane in range(lanes), each
+    exactly as integrate_1d would integrate it alone: the same value, error
+    estimate and evaluations, bit for bit, and its own max_evals.
+
+    f receives flat arrays of lane indices and abscissae and must evaluate
+    elementwise. The result's fields are arrays with one entry per lane. At
+    most _BLOCK lanes are solved together, which bounds the working memory
+    of a long sweep.
+    """
+    _check_interval(a, b, tol)
+    if a == b or not lanes:
+        zeros = np.zeros(lanes)
+        return QuadResult(zeros, zeros, np.zeros(lanes, dtype=int))
+    parts = []
+    for first in range(0, lanes, _BLOCK):
+        budgets = (_Budget(max_evals) for _ in range(min(_BLOCK, lanes - first)))
+        parts.append(_lockstep(
+            lambda lane, x, first=first: f(lane + first, x),
+            float(a), float(b), tol, 1, 1, *budgets,
+        ))
+    return QuadResult(*map(_joined, zip(*parts)))
 
 
 def integrate_1d(
@@ -200,13 +276,8 @@ def integrate_1d(
     instead, so evaluations never exceed max_evals; so does the first round
     in which f returns a non-finite value.
     """
-    _check_interval(a, b, tol)
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    value, err, nev = _lockstep(
-        lambda owner, x: f(x), float(a), float(b), tol, 1, 1, _Budget(max_evals)
-    )
-    return QuadResult(float(value[0]), float(err[0]), nev)
+    r = _integrate_lanes(lambda lane, x: f(x), a, b, tol, 1, max_evals)
+    return QuadResult(r.value.item(), r.error_estimate.item(), r.evaluations.item())
 
 
 def integrate_2d(
@@ -244,12 +315,12 @@ def integrate_2d(
 
     def outer_integrand(_owner: np.ndarray, xs: np.ndarray) -> np.ndarray:
         nonlocal worst_inner, inner_evals
-        values, errs, n = _lockstep(
+        values, errs, (n,) = _lockstep(
             lambda owner, ys: f(xs[owner], ys),
             ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget,
         )
         worst_inner = max(worst_inner, float(errs.max()))
-        inner_evals += n
+        inner_evals += int(n)
         return values
 
     value, outer_err, _ = _lockstep(

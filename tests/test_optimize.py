@@ -10,6 +10,8 @@ from signcorr import (
     maximize_eta,
     phi_i_bessel,
 )
+from signcorr.phi import _phi_i_bessel_each
+from signcorr.quad import _BLOCK
 
 ETA_STAR_REF = 0.227560943876
 
@@ -24,11 +26,24 @@ class TestGridScan:
         assert scan.best_value == max(p[1] for p in scan.points)
 
     def test_points_match_direct_evaluation(self):
-        scan = grid_scan(0.1, 0.3, 4, 1e-9)
-        for eta, value, err in scan.points:
-            direct = phi_i_bessel(RotationFamily(eta), 1e-9)
-            assert value == direct.value
-            assert err == direct.error_estimate
+        # a short grid, the CLI's default grid and one with more etas than a
+        # single quadrature solve takes: every eta gets the bits it gets alone
+        grids = [
+            (0.1, 0.3, 4, 1e-9),
+            (0.0, 0.5, 50, 1e-9),
+            (0.0, 3.0, 2 * _BLOCK + 20, 1e-11),
+        ]
+        for lo, hi, steps, tol in grids:
+            scan = grid_scan(lo, hi, steps, tol)
+            etas = [eta for eta, _, _ in scan.points]
+            swept = _phi_i_bessel_each(etas, tol)
+            for (eta, value, err), r in zip(scan.points, swept):
+                direct = phi_i_bessel(RotationFamily(eta), tol)
+                assert value == direct.value
+                assert err == direct.error_estimate
+                assert r == direct
+        # and the one-eta case refines as it always has
+        assert phi_i_bessel(RotationFamily(0.228)).evaluations == 285
 
     def test_single_point(self):
         scan = grid_scan(0.228, 0.228, 0)
