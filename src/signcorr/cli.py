@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -29,6 +30,10 @@ from .quad import NonConvergenceError
 from .series import alternation_check, conditional_bound, mehler_coefficients, revert_odd_series
 
 _FORMATS = ("json", "csv", "text")
+# argparse reads a token as a flag's negative value, not an option, only if it
+# matches a pattern that has no exponent, so `--eta -2e-1` failed with
+# "expected one argument"; every subparser takes this one for any float literal
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(x: float) -> str:
@@ -280,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--format", choices=_FORMATS, default=None,
                        help="output format (default: SIGNCORR_FORMAT or json)")
         p.add_argument("--out", default=None, metavar="PATH",

@@ -179,6 +179,10 @@ def _fill_blocks(fill: Callable[[int, int], None], nb: int, step: int) -> None:
         raise errors[0]
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _accumulate(
     family: Family, samples: int, seed: int, weights: Callable
 ) -> McEstimate:
@@ -187,9 +191,9 @@ def _accumulate(
     counter-indexed, the weights act row by row and each block writes only
     its own rows, so neither blocking nor the thread count changes a bit; the
     fixed batch size and per-batch numpy sums keep the reduction bit-stable."""
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not _is_count(samples) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_count(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     stride = 2 * family.n
     step = max(1, _BLOCK // stride)  # samples per block

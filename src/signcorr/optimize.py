@@ -1,8 +1,7 @@
-"""Locate the eta maximizing Phi(i)/i: grid scans and golden-section search
-with a unimodality pre-check.
+"""Locate the eta maximizing Phi(i)/i: grid scans, refined around the argmax
+until the bracket is within tolerance, with a unimodality check on the first.
 
-Every value comes from the Bessel route. A batch of etas (a grid scan, the
-pre-scan, the two ends of a degenerate bracket) is solved in one call, each
+Every value comes from the Bessel route. Each grid is solved in one call, each
 eta a quadrature lane of its own: its own panels, evaluation budget and
 rounding, so each value is the one phi_i_bessel gives at that eta alone, bit
 for bit.
@@ -16,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi import _phi_i_bessel_each
-from .quad import QuadResult
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
 
-_GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-_PRESCAN_POINTS = 16
+_GRID_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -38,10 +35,11 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Golden-section maximum of Phi(i)/i over a bracket.
+    """Maximum of Phi(i)/i over a bracket, found by refining grids.
 
-    unimodal records whether the pre-scan looked unimodal within error bars;
-    when it did not, the search still refined around the pre-scan argmax.
+    unimodal records whether the first grid looked unimodal within error
+    bars; when it did not, the grids still refined around its argmax.
+    evaluations counts the distinct etas solved.
     """
 
     eta_star: float
@@ -58,9 +56,10 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     equals phi_i_bessel's at that eta. steps = 0 (or lo = hi) collapses to a
     single evaluation. Ties on the maximum go to the smallest eta.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"need finite lo <= hi, got [{lo}, {hi}]")
-    if not isinstance(steps, (int, np.integer)) or steps < 0:
+    # a finite width keeps np.linspace from overflowing to nan etas
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValueError(f"need finite lo <= hi, hi - lo finite, got [{lo}, {hi}]")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -73,71 +72,56 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     return ScanResult(points, points[best][0], points[best][1])
 
 
+def _unimodal(points: tuple[tuple[float, float, float], ...], peak: int) -> bool:
+    """Whether the values rise up to points[peak] and fall after it, each
+    neighbouring pair allowed to break the trend by their summed error bars."""
+    for i in range(len(points) - 1):
+        (_, v0, e0), (_, v1, e1) = points[i], points[i + 1]
+        band = e0 + e1
+        if (v1 < v0 - band) if i < peak else (v1 > v0 + band):
+            return False
+    return True
+
+
 def maximize_eta(
     lo: float, hi: float, xtol: float = 1e-4, quad_tol: float = 1e-9
 ) -> MaximizeResult:
-    """Golden-section maximization of Phi(i)/i over [lo, hi].
+    """Maximize Phi(i)/i over [lo, hi] by refining grids.
 
-    A 16-point pre-scan, solved as one batch of quadrature lanes, checks
-    unimodality within error bars and supplies the starting bracket around
-    its argmax; golden-section then narrows it below xtol, one eta per step,
-    since each step depends on the last. The result is the best of every
-    evaluation made, so it dominates the pre-scan grid by construction.
+    A 16-point grid_scan of [lo, hi] checks unimodality within error bars.
+    The bracket then narrows to the grid intervals on either side of the
+    argmax, and each narrower bracket gets a 16-point grid_scan of its own,
+    until the bracket is at most xtol wide; a bracket that narrow from the
+    start is scanned at its two ends. Each grid is one batch of quadrature
+    lanes. The result is the best of every eta solved, a tie going to the
+    smaller |eta|, so it dominates the first grid by construction.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"need finite lo < hi, hi - lo finite, got [{lo}, {hi}]")
     if not xtol > 0:
         raise ValueError(f"xtol must be positive, got {xtol}")
     if not quad_tol > 0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
 
-    cache: dict[float, QuadResult] = {}
-
-    def solve(etas: list[float]) -> None:
-        new = [e for e in dict.fromkeys(etas) if e not in cache]
-        cache.update(zip(new, _phi_i_bessel_each(new, quad_tol)))
-
-    def value(eta: float) -> float:
-        if eta not in cache:
-            solve([eta])
-        return cache[eta].value
-
-    def finish(unimodal: bool) -> MaximizeResult:
-        eta_star = max(cache, key=lambda e: (cache[e].value, -abs(e)))
-        r = cache[eta_star]
-        return MaximizeResult(
-            eta_star, r.value, r.error_estimate, unimodal, len(cache)
-        )
-
-    if hi - lo <= xtol:
-        # degenerate bracket: report the better endpoint
-        solve([lo, hi])
-        return finish(True)
-
-    grid = [float(e) for e in np.linspace(lo, hi, _PRESCAN_POINTS)]
-    solve(grid)
-    vals = [cache[e].value for e in grid]
-    errs = [cache[e].error_estimate for e in grid]
-    peak = max(range(len(grid)), key=lambda i: vals[i])
-    unimodal = True
-    for i in range(len(grid) - 1):
-        band = errs[i] + errs[i + 1]
-        rising_break = i < peak and vals[i + 1] < vals[i] - band
-        falling_break = i >= peak and vals[i + 1] > vals[i] + band
-        if rising_break or falling_break:
-            unimodal = False
+    a, b = lo, hi
+    steps = _GRID_POINTS - 1 if b - a > xtol else 1
+    unimodal = None
+    solved: list[tuple[float, float, float]] = []
+    while True:
+        points = grid_scan(a, b, steps, quad_tol).points
+        solved += points
+        peak = max(range(len(points)), key=lambda i: points[i][1])
+        if unimodal is None:
+            unimodal = _unimodal(points, peak)
+        width = b - a
+        a, b = points[max(peak - 1, 0)][0], points[min(peak + 1, steps)][0]
+        # stop within xtol, or where float spacing keeps a grid from narrowing
+        # its bracket any further
+        if not xtol < b - a < width:
             break
-
-    a = grid[max(peak - 1, 0)]
-    b = grid[min(peak + 1, len(grid) - 1)]
-    c = b - _GOLDEN_RATIO * (b - a)
-    d = a + _GOLDEN_RATIO * (b - a)
-    while b - a > xtol:
-        if value(c) > value(d):
-            b, d = d, c
-            c = b - _GOLDEN_RATIO * (b - a)
-        else:
-            a, c = c, d
-            d = a + _GOLDEN_RATIO * (b - a)
-    value(0.5 * (a + b))
-    return finish(unimodal)
+        steps = _GRID_POINTS - 1
+    # higher value, then smaller |eta|, then the eta solved first
+    eta, value, err = max(solved, key=lambda p: (p[1], -abs(p[0])))
+    return MaximizeResult(
+        eta, value, err, unimodal, len({e for e, _, _ in solved})
+    )

@@ -363,6 +363,8 @@ USAGE_ERRORS = [
      "signcorr: error: order must be odd, got 4"),
     (["optimize", "--lo", "0.4", "--hi", "0.1"],
      "signcorr: error: need --lo < --hi, got [0.4, 0.1]"),
+    (["sweep", "--lo", "-1e308", "--hi", "1e308"],
+     "signcorr: error: need finite lo <= hi, hi - lo finite, got [-1e+308, 1e+308]"),
     (["mc", "--family", "identity1", "--eta", "0.2", "--seed", "1"],
      "signcorr: error: identity1 takes no --eta or --epsilon"),
     (["mc", "--family", "rotation3", "--seed", "1"],
@@ -404,6 +406,32 @@ def test_usage_error_exits_two_with_one_message(capsys, argv, line):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == line
+
+
+# argparse's own negative-number pattern has no exponent, so without the
+# parser's wider one each of these exits 2 with "expected one argument"
+NEGATIVE_EXPONENT_ARGS = [
+    ["verify", "--eta", "-2e-1"],
+    ["sweep", "--lo", "-1e-3", "--hi", "0.01", "--steps", "2"],
+    ["optimize", "--lo", "-3e-1", "--hi", "-1E-1"],
+    ["mc", "--family", "rotation3", "--eta", "0.228", "--target", "phi-t",
+     "--t", "-3e-1", "--samples", "1000", "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_EXPONENT_ARGS, ids=" ".join)
+def test_negative_value_with_exponent(capsys, argv):
+    # the same run with each negative value glued on by "=" is the reference
+    glued = []
+    for token in argv:
+        if token[0] == "-" and token[1] != "-":
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    assert glued != argv
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, glued) == (code, out, err)
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -282,10 +282,15 @@ class TestValidation:
             estimate_phi_t(identity1(), 1.5, 100, 0)
 
     def test_rejects_bad_samples(self):
-        for bad in (0, -5, 2.5):
+        for bad in (0, -5, 2.5, True):
             with pytest.raises(ValueError):
                 estimate_phi_t(identity1(), 0.5, bad, 0)
+            with pytest.raises(ValueError):
+                estimate_phi_i(identity1(), bad, 0)
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError):
-            estimate_phi_t(identity1(), 0.5, 100, -1)
+        for bad in (-1, False):
+            with pytest.raises(ValueError):
+                estimate_phi_t(identity1(), 0.5, 100, bad)
+            with pytest.raises(ValueError):
+                estimate_phi_i(identity1(), 100, bad)

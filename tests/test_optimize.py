@@ -1,4 +1,4 @@
-"""Grid scan and golden-section maximization of the functional over eta."""
+"""Grid scan and grid-refinement maximization of the functional over eta."""
 
 import math
 
@@ -72,6 +72,10 @@ class TestGridScan:
             grid_scan(0.0, 0.5, -1)
         with pytest.raises(ValueError):
             grid_scan(0.0, math.inf, 10)
+        with pytest.raises(ValueError):
+            grid_scan(0.0, 0.5, True)
+        with pytest.raises(ValueError):
+            grid_scan(-1e308, 1e308, 2)
 
 
 class TestMaximizeEta:
@@ -93,6 +97,18 @@ class TestMaximizeEta:
         res = maximize_eta(-0.5, 0.5)
         assert 0.20 <= abs(res.eta_star) <= 0.26
         assert res.value_star >= 0.5616144
+        # the functional is even and dips at 0: the first grid has two peaks
+        assert res.unimodal is False
+
+    @pytest.mark.parametrize(
+        "lo, hi, edge", [(0.3, 0.5, 0.3), (0.0, 0.1, 0.1)]
+    )
+    def test_maximum_on_bracket_edge(self, lo, hi, edge):
+        # the functional falls away from eta* on both sides, so a bracket
+        # that misses it peaks at the end nearer to it
+        res = maximize_eta(lo, hi)
+        assert res.eta_star == edge
+        assert res.value_star == phi_i_bessel(RotationFamily(edge)).value
 
     def test_degenerate_bracket_returns_endpoint(self):
         res = maximize_eta(0.228, 0.228001)
@@ -100,9 +116,16 @@ class TestMaximizeEta:
         assert res.unimodal
         assert res.evaluations == 2
 
-    def test_xtol_controls_precision(self):
-        tight = maximize_eta(0.1, 0.4, xtol=1e-5)
-        assert abs(tight.eta_star - ETA_STAR_REF) <= 1e-5
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.4), (0.0, 0.5)])
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-4, 1e-5])
+    def test_xtol_controls_precision(self, xtol, lo, hi):
+        res = maximize_eta(lo, hi, xtol=xtol)
+        assert abs(res.eta_star - ETA_STAR_REF) <= xtol
+
+    def test_xtol_below_float_spacing_terminates(self):
+        # grids stop narrowing once their points are adjacent floats
+        res = maximize_eta(0.1, 0.4, xtol=1e-300)
+        assert abs(res.eta_star - ETA_STAR_REF) <= 1e-5
 
     def test_deterministic(self):
         a = maximize_eta(0.0, 0.5)
@@ -121,6 +144,8 @@ class TestMaximizeEta:
             maximize_eta(0.4, 0.1)
         with pytest.raises(ValueError):
             maximize_eta(0.1, 0.1)
+        with pytest.raises(ValueError):
+            maximize_eta(-1e308, 1e308)
         with pytest.raises(ValueError):
             maximize_eta(0.0, 0.5, xtol=-1.0)
         with pytest.raises(ValueError):
