@@ -3,10 +3,13 @@
 Phi(t) is the expected product of signs of F and G applied to coordinatewise
 t-correlated Gaussian vectors, where the family mixes two coordinates by the
 angle eps*(x^2 - 1) of a third. Phi(i)/i is real; this module evaluates it by
-three independent quadrature routes and verifies that it clears the
-(2/pi) ln(1+sqrt 2) threshold. On both axes the angular integral collapses to
-a Bessel kernel, J0 at t = i and I0 at real t, so one radial integral gives
-Phi(i)/i and Phi(t).
+four independent routes and verifies that it clears the (2/pi) ln(1+sqrt 2)
+threshold. On both axes the angular integral collapses to a Bessel kernel, J0
+at t = i and I0 at real t, so one radial integral gives Phi(i)/i and Phi(t).
+Three routes integrate by quadrature. The fourth, and phi_real_t, expand the
+radial integrand's asinh or arcsin factor in odd cosine harmonics, each of
+which has a closed-form Laplace transform against the Bessel kernel
+(Gradshteyn-Ryzhik 6.611.1), so Phi is a finite sum of closed-form terms.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadResult, _integrate_lanes, integrate_1d, integrate_2d
-from .specfun import _bessel_i0e, bessel_j0
+from .quad import _EPS, NonConvergenceError, QuadResult, _integrate_lanes, integrate_2d
+# integrate_1d is not called here; the traced benchmark run rebinds this name
+# in phi to count its calls, so it stays bound
+from .quad import integrate_1d  # noqa: F401
+from .specfun import bessel_j0
 
 __all__ = [
     "THRESHOLD",
@@ -27,6 +33,7 @@ __all__ = [
     "phi_i_polar",
     "phi_i_cartesian",
     "phi_i_bessel",
+    "phi_i_fourier",
     "phi_real_t",
     "verify_theorem",
 ]
@@ -39,6 +46,11 @@ THRESHOLD = 2.0 / math.pi * math.asinh(1.0)
 _ASINH1 = math.asinh(1.0)
 _PREFACTOR = 2.0 * math.sqrt(2.0) / math.pi**2  # polar and folded-Cartesian forms
 _PREFACTOR_BESSEL = 2.0 * math.sqrt(2.0) / math.pi
+# |asinh(cos x)| on the strip |Im x| <= asinh 1, where |cos x| <= sqrt 2
+_ASINH_STRIP_BOUND = math.hypot(math.asinh(math.sqrt(2.0)), math.pi / 2.0)
+# the samples one harmonic sum may take: 2^20, the scale of the quadrature's
+# 10^6 evaluations
+_MAX_SAMPLES = 2**20
 
 # truncated domains: rho in [0, _CUTOFF] for the radial integrals, the square
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
@@ -167,37 +179,132 @@ def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     return _phi_i_bessel_each([family.eta], tol)[0]
 
 
-def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
-    """Phi(t) for real |t| < 1: (2/pi) times the integral of
-    arcsin(t cos(eps(x^2+y^2-2))) against the t-correlated Gaussian density.
-    In polar coordinates about the diagonals the angular integral is I0, so
-    Phi(t) = 4 / (pi sqrt(1-t^2)) * int_0^inf arcsin(t cos(eta(2 rho - 1)))
-    e^{-2 rho/(1+|t|)} e^{-x} I0(x) d rho, x = 2 |t| rho / (1-t^2). The
-    tail beyond _CUTOFF is charged to the error."""
-    if not abs(t) < 1:
-        raise ValueError(f"need |t| < 1, got t={t}")
-    omt2 = 1.0 - t * t
-    scale = 2.0 * abs(t) / omt2
-    rate = 2.0 / (1.0 + abs(t))
-    pref = 4.0 / (math.pi * math.sqrt(omt2))
-    eta = family.eta
+def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
+    """pref * sum_k c_k Re[e^{-i w_k} / (sqrt(p - 2i w_k) sqrt(s - 2i w_k))],
+    w_k = (2k+1) eta, over the cosine coefficients c_k of the odd harmonics
+    2k+1 of f(x) = g(cos x)[0], an even function with only odd harmonics.
+    g(u) returns f and |df/du| at the points u.
 
-    def g(rho):
-        return (
-            np.arcsin(t * np.cos(eta * (2.0 * rho - 1.0)))
-            * np.exp(-rate * rho)
-            * _bessel_i0e(scale * rho)
+    f extends to the strip |Im x| <= a with |f| <= bound there and q = e^{-a},
+    so |c_m| <= 2 bound q^m, and the n-point trapezoid rule gets c_m within
+    4 bound cosh(m a) / (e^{a n} - 1) (Trefethen and Weideman, SIAM Review
+    2014). pref times each Laplace factor is at most lmax = pref / sqrt|p s|
+    in modulus, as |(p - 2iw)(s - 2iw)| >= |p s| for both uses. The harmonic
+    count K leaves a tail of at most tol/2, and n, a power of two, aliases at
+    most tol/2; the error estimate adds both to a rounding bound. evaluations
+    counts the n samples, at most _MAX_SAMPLES.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    lmax = pref / math.sqrt(abs(p * s))
+    scale = 2.0 * bound * lmax  # term m is at most scale q^m
+    qq = q * q
+    # the smallest K whose tail, scale q^{2K+1} / (1 - q^2), is at most tol/2
+    room = tol * (1.0 - qq) / (2.0 * scale)
+    k = 1
+    if q > 0.0 and room < 1.0:
+        k = max(1, math.ceil((math.log(room) / math.log(q) - 1.0) / 2.0))
+    tail = scale * q ** (2 * k + 1) / (1.0 - qq)
+    n = 8
+    while True:
+        if n >= 4 * k - 2:  # harmonic 2K-1 is at most n/2
+            alias = (
+                scale * (q ** (n - 2 * k + 1) + q ** (n + 1)) * (1.0 - qq**k)
+                / ((1.0 - qq) * (1.0 - q**n))
+            )
+            if alias <= tol / 2.0:
+                break
+        if n >= _MAX_SAMPLES:
+            raise NonConvergenceError(
+                f"the harmonic sum at tol={tol} needs more than {_MAX_SAMPLES} "
+                f"samples ({k} harmonics, decay {q!r})"
+            )
+        n *= 2
+    if not math.isfinite((2 * k - 1) * eta):
+        raise NonConvergenceError(
+            f"non-finite phase (2k+1) eta for some k < {k} at eta={eta!r}"
         )
 
-    # |arcsin(t cos)| <= arcsin|t| and e^{-x} I0(x) <= 1
-    tail = pref * _cutoff_tail(math.asin(abs(t)), rate)
-    return _solve(integrate_1d, g, (0.0, _CUTOFF), pref, tail, tol)
+    x = np.arange(n) * (2.0 * math.pi / n)
+    f, slope = g(np.cos(x))
+    c = np.fft.rfft(f)[1 : 2 * k : 2].real * (2.0 / n)
+    w = np.arange(1, 2 * k, 2) * eta
+    lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
+    terms = c * (np.exp(-1j * w) * lap).real
+    value = math.fsum(terms.tolist())
+
+    # Rounding. A sample is within eps (2 pi + 3 |df/du| + 2 |f|): x_j within
+    # 2 pi eps with |df/dx| <= 1, cos x_j and its product with |t| within
+    # 3 eps, f within 2 ulps. Over the K coefficients used, the samples'
+    # errors and the FFT's, within 7 log2(n) eps of its 2-norm (Higham,
+    # Accuracy and Stability, Thm 24.2), add at most 2 sqrt(K/n) times their
+    # 2-norms (Cauchy-Schwarz). Each term is within 16 ulps of its modulus,
+    # plus the rounding of w_k times |d/dw log(e^{-iw} lap)| <= 3, and fsum
+    # within one ulp of the value.
+    df = _EPS * (2.0 * math.pi + 3.0 * slope + 2.0 * np.abs(f))
+    coef_err = 2.0 * math.sqrt(k / n) * (
+        math.sqrt(df @ df) + 7.0 * math.log2(n) * _EPS * math.sqrt(f @ f)
+    )
+    term_err = _EPS * float(np.abs(c * lap) @ (16.0 + 2.0 * np.abs(w)))
+    rounding = lmax * coef_err + term_err + _EPS * abs(value)
+    return QuadResult(value, tail + alias + rounding, n)
+
+
+def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
+    """Phi(i)/i as the closed-form sum
+
+        (2 sqrt2 / pi) sum_k b_k Re[e^{-i w_k} / sqrt((1 - 2i w_k)^2 + 1)],
+
+    w_k = (2k+1) eta, over the odd harmonics b_k of asinh(cos x): the Laplace
+    transform of phi_i_bessel's radial integral, term by term, with no
+    quadrature, no cutoff and no J0. asinh(cos x) is analytic on
+    |Im x| < asinh 1, where |cos x| <= sqrt2 and |asinh w| <=
+    hypot(asinh |w|, pi/2). The square root is taken as the product of
+    sqrt(1 - i - 2i w) and sqrt(1 + i - 2i w)."""
+
+    def g(u):
+        return np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)
+
+    return _fourier_laplace(
+        g, _ASINH_STRIP_BOUND, math.sqrt(2.0) - 1.0, family.eta,
+        1.0 - 1.0j, 1.0 + 1.0j, _PREFACTOR_BESSEL, tol,
+    )
+
+
+def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
+    """Phi(t) for real |t| < 1. Phi(t) = 4 / (pi sqrt(1-t^2)) times the
+    integral over rho > 0 of arcsin(t cos(eta(2 rho - 1))) e^{-2 rho/(1-t^2)}
+    I0(2 |t| rho / (1-t^2)); in odd harmonics beta_k of arcsin(|t| cos x) it is
+
+        4 / (pi sqrt(1-t^2)) sum_k beta_k Re[e^{-i w_k} /
+            (sqrt(2/(1+|t|) - 2i w_k) sqrt(2/(1-|t|) - 2i w_k))],
+
+    w_k = (2k+1) eta, the sign of t applied last, so Phi(-t) = -Phi(t) bit
+    for bit. The two square roots are the factors of the I0 transform's
+    sqrt(s^2 - c^2), whose difference of squares would cancel near |t| = 1.
+    |arcsin w| <= arcsin |w| <= pi/2 on |Im x| <= acosh(1/|t|), so
+    |beta_m| <= pi r^m with r = |t| / (1 + sqrt(1-t^2))."""
+    if not abs(t) < 1:
+        raise ValueError(f"need |t| < 1, got t={t}")
+    a = abs(t)
+    sigma = math.sqrt((1.0 - a) * (1.0 + a))
+
+    def g(u):
+        w = a * u
+        return np.arcsin(w), a / np.sqrt((1.0 - w) * (1.0 + w))
+
+    r = _fourier_laplace(
+        g, math.pi / 2.0, a / (1.0 + sigma), family.eta,
+        2.0 / (1.0 + a), 2.0 / (1.0 - a), 4.0 / (math.pi * sigma), tol,
+    )
+    return QuadResult(math.copysign(1.0, t) * r.value, r.error_estimate, r.evaluations)
 
 
 _ROUTES = {
     "polar": phi_i_polar,
     "cartesian": phi_i_cartesian,
     "bessel": phi_i_bessel,
+    "fourier": phi_i_fourier,
 }
 METHODS = tuple(_ROUTES)
 

@@ -1,6 +1,5 @@
 """Scalar special functions: probabilists' Hermite polynomials, arcsin
-Maclaurin coefficients, the Bessel function J0 and the scaled Bessel function
-e^{-|x|} I0(x).
+Maclaurin coefficients and the Bessel function J0.
 
 Everything here is pure and re-entrant; array inputs are handled elementwise.
 """
@@ -59,13 +58,11 @@ def arcsin_coeff(j: int) -> float:
     return _ARCSIN_COEFFS[j]
 
 
-# Power-series branches of J0 and I0: sum_k (-z)^k / (k!)^2 and sum_k z^k / (k!)^2,
-# z = (x/2)^2, coefficients in extended precision, highest power first. J0 takes
-# the last 25, whose tail is below 1e-20 for x <= 5; I0 takes all 40, whose first
-# omitted term is 3e-24 relative at x = 20.
+# Power-series branch of J0: sum_k (-z)^k / (k!)^2, z = (x/2)^2, coefficients
+# in extended precision, highest power first; the tail is below 1e-20 for x <= 5.
 _INV_FACTORIAL_SQ = tuple(
     np.longdouble(1) / np.longdouble(math.factorial(k)) ** 2
-    for k in range(39, -1, -1)
+    for k in range(24, -1, -1)
 )
 
 # Hankel asymptotic rational coefficients for x > 5 (Cephes Math Library, bessj0):
@@ -132,7 +129,7 @@ def bessel_j0(x):
     small = ax <= 5.0
     if small.any():
         z = (ax[small].astype(np.longdouble) / 2) ** 2
-        out[small] = _polevl(-z, _INV_FACTORIAL_SQ[-25:]).astype(float)
+        out[small] = _polevl(-z, _INV_FACTORIAL_SQ).astype(float)
 
     large = ~small
     if large.any():
@@ -146,21 +143,3 @@ def bessel_j0(x):
 
     return float(out[0]) if scalar else out
 
-
-# I0 Hankel series for x > 20, highest power first:
-# e^x / sqrt(2 pi x) sum_k c_k x^-k, c_k = ((2k)!)^2 / ((k!)^3 32^k), whose first
-# omitted term is 1.1e-17 relative at x = 20. All its terms are positive.
-_I0_HANKEL = tuple(
-    math.factorial(2 * k) ** 2 / (math.factorial(k) ** 3 * 32**k)
-    for k in range(25, -1, -1)
-)
-
-
-def _bessel_i0e(x):
-    """e^{-|x|} I0(x) for a numpy array, within 2e-15 relative on [0, 1e7]."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    xs = np.minimum(ax, 20.0).astype(np.longdouble)
-    xl = np.maximum(ax, 20.0)
-    series = (_polevl((xs / 2) ** 2, _INV_FACTORIAL_SQ) * np.exp(-xs)).astype(float)
-    hankel = _polevl(1.0 / xl, _I0_HANKEL) / np.sqrt(2.0 * math.pi * xl)
-    return np.where(ax <= 20.0, series, hankel)

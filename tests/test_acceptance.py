@@ -24,6 +24,7 @@ from signcorr import (
     maximize_eta,
     phi_i_bessel,
     phi_i_cartesian,
+    phi_i_fourier,
     phi_i_polar,
     phi_real_t,
     revert_odd_series,
@@ -40,7 +41,12 @@ SIN_HALF_PI_COEFFS = (
     0.00016044118478735982187,
     -3.5988432352120853405e-6,
 )
-ROUTES = {"polar": phi_i_polar, "cartesian": phi_i_cartesian, "bessel": phi_i_bessel}
+ROUTES = {
+    "polar": phi_i_polar,
+    "cartesian": phi_i_cartesian,
+    "bessel": phi_i_bessel,
+    "fourier": phi_i_fourier,
+}
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -93,7 +99,7 @@ def test_criterion_3_method_cross_agreement():
                 worst_gap_ratio = max(worst_gap_ratio, gap / budget)
     _verdict(
         3, ok,
-        f"3 methods x 4 etas pairwise agree within summed error estimates "
+        f"{len(METHODS)} methods x 4 etas pairwise agree within summed error estimates "
         f"(worst gap {worst_gap_ratio:.2f} of budget); all estimates "
         f"<= 1e-6 (max {worst_err:.1e})",
     )

@@ -71,6 +71,18 @@ class TestVerifyCommand:
         assert code == 3
         assert "non-convergence" in err
 
+    @pytest.mark.parametrize("eta,code", [("0.228", 0), ("0", 1), ("1e308", 3)])
+    def test_fourier_method(self, capsys, eta, code):
+        got, out, err = run_cli(capsys, ["verify", "--eta", eta, "--method", "fourier"])
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert err.startswith("signcorr: non-convergence: non-finite phase")
+        else:
+            report = json.loads(out)
+            assert report["inputs"]["method"] == "fourier"
+            assert report["pass"] is (code == 0)
+
     def test_cartesian_budget_covers_nested_solve(self, capsys):
         # tens of millions of evaluations at eta 20: the one budget of 10^7
         # for the whole 2D solve stops it, where per-pass budgets did not
@@ -215,7 +227,11 @@ class TestMcCommand:
         assert "reference" not in report
         assert "z_score" not in report
 
-    @pytest.mark.parametrize("target", [[], ["--target", "phi-t", "--t", "0.3"]])
+    # phi-i: phi_i_bessel at eta 5e6 passes its evaluation budget; phi-t:
+    # phi_real_t at 1 - |t| = 1e-10 would pass its 2^20-sample budget
+    @pytest.mark.parametrize(
+        "target", [[], ["--target", "phi-t", "--t", "0.9999999999"]]
+    )
     def test_failed_reference_exits_three_before_sampling(
         self, capsys, monkeypatch, target
     ):

@@ -16,7 +16,6 @@ from signcorr import (
     integrate_1d,
     integrate_2d,
     phi_i_bessel,
-    phi_real_t,
 )
 from signcorr.quad import (
     _BLOCK,
@@ -28,6 +27,8 @@ from signcorr.quad import (
     _integrate_lanes,
     _lockstep,
 )
+
+import radial
 
 INV_SQRT2 = 0.7071067811865475244
 PI_OVER_SQRT2 = 2.2214414690791831235
@@ -252,15 +253,16 @@ class TestLockstep:
 
     @pytest.mark.parametrize(
         "route,args",
-        [(phi_i_bessel, ()), (phi_real_t, (0.3,)), (phi_real_t, (-0.7,)),
-         (phi_real_t, (0.95,))],
+        [(phi_i_bessel, ()), (radial.phi_real_t, (0.3,)),
+         (radial.phi_real_t, (-0.7,)), (radial.phi_real_t, (0.95,))],
     )
     # at eta 20 the largest rounds (262 and 400 panels) span several blocks
     @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 20.0])
     def test_one_problem_matches_single_problem_loop(self, monkeypatch, route,
                                                      args, eta):
-        # phi_real_t solves through integrate_1d, phi_i_bessel through one
-        # lane of _integrate_lanes; record either as a one-problem solve
+        # the radial real-t oracle solves through integrate_1d, phi_i_bessel
+        # through one lane of _integrate_lanes; record either as a
+        # one-problem solve
         calls = []
 
         def recording(f, a, b, tol):
@@ -276,7 +278,7 @@ class TestLockstep:
                           QuadResult(*fields)))
             return r
 
-        monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
+        monkeypatch.setattr(radial, "integrate_1d", recording)
         monkeypatch.setattr(signcorr.phi, "_integrate_lanes", recording_lanes)
         route(RotationFamily(eta), *args)
         ((f, a, b, tol, r),) = calls
