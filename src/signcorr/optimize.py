@@ -1,10 +1,10 @@
 """Locate the eta maximizing Phi(i)/i: grid scans, refined around the argmax
 until the bracket is within tolerance, with a unimodality check on the first.
 
-Every value comes from the Bessel route. Each grid is solved in one call, each
-eta a quadrature lane of its own: its own panels, evaluation budget and
-rounding, so each value is the one phi_i_bessel gives at that eta alone, bit
-for bit.
+Every value comes from the Fourier-Laplace route. Its harmonic coefficients
+do not depend on eta, so each grid takes one FFT and a short closed-form sum
+per eta, and each value is the one phi_i_fourier gives at that eta, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import _phi_i_bessel_each
+from .phi import _phi_i_fourier_each
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
 
@@ -52,19 +52,18 @@ class MaximizeResult:
 def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult:
     """Evaluate Phi(i)/i at steps+1 equispaced eta values on [lo, hi].
 
-    All etas are solved together, one quadrature lane each, and every value
-    equals phi_i_bessel's at that eta. steps = 0 (or lo = hi) collapses to a
-    single evaluation. Ties on the maximum go to the smallest eta.
+    All etas share one set of Fourier-Laplace coefficients, and every value
+    and error estimate equals phi_i_fourier's at that eta. steps = 0 (or
+    lo = hi) collapses to a single evaluation. Ties on the maximum go to the
+    smallest eta.
     """
     # a finite width keeps np.linspace from overflowing to nan etas
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite lo <= hi, hi - lo finite, got [{lo}, {hi}]")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
-    results = _phi_i_bessel_each(etas, tol)
+    results = _phi_i_fourier_each(etas, tol)
     points = tuple(
         (e, r.value, r.error_estimate) for e, r in zip(etas, results)
     )
@@ -92,9 +91,10 @@ def maximize_eta(
     The bracket then narrows to the grid intervals on either side of the
     argmax, and each narrower bracket gets a 16-point grid_scan of its own,
     until the bracket is at most xtol wide; a bracket that narrow from the
-    start is scanned at its two ends. Each grid is one batch of quadrature
-    lanes. The result is the best of every eta solved, a tie going to the
-    smaller |eta|, so it dominates the first grid by construction.
+    start is scanned at its two ends. Each grid is one grid_scan, so every
+    value is phi_i_fourier's. The result is the best of every eta solved, a
+    tie going to the smaller |eta|, so it dominates the first grid by
+    construction.
     """
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite lo < hi, hi - lo finite, got [{lo}, {hi}]")

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import _EPS, NonConvergenceError, QuadResult, _integrate_lanes, integrate_2d
-# integrate_1d is not called here; the traced benchmark run rebinds this name
-# in phi to count its calls, so it stays bound
-from .quad import integrate_1d  # noqa: F401
+from .quad import _EPS, NonConvergenceError, QuadResult, integrate_1d, integrate_2d
 from .specfun import bessel_j0
 
 __all__ = [
@@ -77,7 +74,7 @@ class RotationFamily:
 class VerificationReport:
     """Outcome of a threshold verification at one eta.
 
-    passed is True only when the margin clears the quadrature error estimate,
+    passed is True only when the margin clears the route's error estimate,
     i.e. the strict inequality is established beyond numerical uncertainty.
     """
 
@@ -148,42 +145,30 @@ def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     return _solve(integrate_2d, f, ((0.0, _BOX), (0.0, _BOX)), _PREFACTOR, tail, tol)
 
 
-def _phi_i_bessel_each(etas, tol: float) -> list[QuadResult]:
-    """phi_i_bessel at every eta of a sequence, one quadrature lane each,
-    solved together: each result is the one phi_i_bessel gives alone, bit
-    for bit."""
-    eta = np.array(etas, dtype=float)
-
-    def g(lane, rho):
-        return (
-            np.arcsinh(np.cos(eta[lane] * (2.0 * rho - 1.0)))
-            * np.exp(-rho)
-            * bessel_j0(rho)
-        )
-
-    def integrate(f, a, b, tol):
-        return _integrate_lanes(f, a, b, tol, eta.size)
-
-    # |arcsinh(cos)| <= argsinh(1) and |J0| <= 1
-    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
-    r = _solve(integrate, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
-    fields = (r.value.tolist(), r.error_estimate.tolist(), r.evaluations.tolist())
-    return [QuadResult(*x) for x in zip(*fields)]
-
-
 def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral over
     [0, _CUTOFF] of argsinh(cos(eta(2 rho - 1))) e^{-rho} J0(rho); the theta
     integral collapses to pi J0(rho). The tail beyond _CUTOFF is charged to
     the error."""
-    return _phi_i_bessel_each([family.eta], tol)[0]
+    eta = family.eta
+
+    def g(rho):
+        return (
+            np.arcsinh(np.cos(eta * (2.0 * rho - 1.0)))
+            * np.exp(-rho)
+            * bessel_j0(rho)
+        )
+
+    # |arcsinh(cos)| <= argsinh(1) and |J0| <= 1
+    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
+    return _solve(integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
 
 
-def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
+def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     """pref * sum_k c_k Re[e^{-i w_k} / (sqrt(p - 2i w_k) sqrt(s - 2i w_k))],
-    w_k = (2k+1) eta, over the cosine coefficients c_k of the odd harmonics
-    2k+1 of f(x) = g(cos x)[0], an even function with only odd harmonics.
-    g(u) returns f and |df/du| at the points u.
+    w_k = (2k+1) eta, at every eta of etas, over the cosine coefficients c_k
+    of the odd harmonics 2k+1 of f(x) = g(cos x)[0], an even function with
+    only odd harmonics. g(u) returns f and |df/du| at the points u.
 
     f extends to the strip |Im x| <= a with |f| <= bound there and q = e^{-a},
     so |c_m| <= 2 bound q^m, and the n-point trapezoid rule gets c_m within
@@ -192,7 +177,9 @@ def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
     in modulus, as |(p - 2iw)(s - 2iw)| >= |p s| for both uses. The harmonic
     count K leaves a tail of at most tol/2, and n, a power of two, aliases at
     most tol/2; the error estimate adds both to a rounding bound. evaluations
-    counts the n samples, at most _MAX_SAMPLES.
+    counts the n samples, at most _MAX_SAMPLES. None of K, n, the c_k or
+    their rounding depends on eta, so one FFT serves every eta, and each
+    eta's result is the one it gets alone, bit for bit.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -220,6 +207,7 @@ def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
                 f"samples ({k} harmonics, decay {q!r})"
             )
         n *= 2
+    eta = max(etas, key=abs)
     if not math.isfinite((2 * k - 1) * eta):
         raise NonConvergenceError(
             f"non-finite phase (2k+1) eta for some k < {k} at eta={eta!r}"
@@ -228,10 +216,6 @@ def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
     x = np.arange(n) * (2.0 * math.pi / n)
     f, slope = g(np.cos(x))
     c = np.fft.rfft(f)[1 : 2 * k : 2].real * (2.0 / n)
-    w = np.arange(1, 2 * k, 2) * eta
-    lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
-    terms = c * (np.exp(-1j * w) * lap).real
-    value = math.fsum(terms.tolist())
 
     # Rounding. A sample is within eps (2 pi + 3 |df/du| + 2 |f|): x_j within
     # 2 pi eps with |df/dx| <= 1, cos x_j and its product with |t| within
@@ -245,9 +229,30 @@ def _fourier_laplace(g, bound, q, eta, p, s, pref, tol) -> QuadResult:
     coef_err = 2.0 * math.sqrt(k / n) * (
         math.sqrt(df @ df) + 7.0 * math.log2(n) * _EPS * math.sqrt(f @ f)
     )
-    term_err = _EPS * float(np.abs(c * lap) @ (16.0 + 2.0 * np.abs(w)))
-    rounding = lmax * coef_err + term_err + _EPS * abs(value)
-    return QuadResult(value, tail + alias + rounding, n)
+    harmonics = np.arange(1, 2 * k, 2)
+    results = []
+    for eta in etas:  # one K-term sum each: memory does not grow with etas
+        w = harmonics * eta
+        lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
+        value = math.fsum((c * (np.exp(-1j * w) * lap).real).tolist())
+        term_err = _EPS * float(np.abs(c * lap) @ (16.0 + 2.0 * np.abs(w)))
+        rounding = lmax * coef_err + term_err + _EPS * abs(value)
+        results.append(QuadResult(value, tail + alias + rounding, n))
+    return results
+
+
+def _phi_i_fourier_each(etas, tol: float) -> list[QuadResult]:
+    """phi_i_fourier at every eta of a sequence, all from one set of
+    coefficients: each result is the one phi_i_fourier gives at that eta
+    alone, bit for bit."""
+
+    def g(u):
+        return np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)
+
+    return _fourier_laplace(
+        g, _ASINH_STRIP_BOUND, math.sqrt(2.0) - 1.0, etas,
+        1.0 - 1.0j, 1.0 + 1.0j, _PREFACTOR_BESSEL, tol,
+    )
 
 
 def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -261,14 +266,7 @@ def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     |Im x| < asinh 1, where |cos x| <= sqrt2 and |asinh w| <=
     hypot(asinh |w|, pi/2). The square root is taken as the product of
     sqrt(1 - i - 2i w) and sqrt(1 + i - 2i w)."""
-
-    def g(u):
-        return np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)
-
-    return _fourier_laplace(
-        g, _ASINH_STRIP_BOUND, math.sqrt(2.0) - 1.0, family.eta,
-        1.0 - 1.0j, 1.0 + 1.0j, _PREFACTOR_BESSEL, tol,
-    )
+    return _phi_i_fourier_each([family.eta], tol)[0]
 
 
 def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
@@ -293,8 +291,8 @@ def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResul
         w = a * u
         return np.arcsin(w), a / np.sqrt((1.0 - w) * (1.0 + w))
 
-    r = _fourier_laplace(
-        g, math.pi / 2.0, a / (1.0 + sigma), family.eta,
+    (r,) = _fourier_laplace(
+        g, math.pi / 2.0, a / (1.0 + sigma), [family.eta],
         2.0 / (1.0 + a), 2.0 / (1.0 - a), 4.0 / (math.pi * sigma), tol,
     )
     return QuadResult(math.copysign(1.0, t) * r.value, r.error_estimate, r.evaluations)
@@ -314,8 +312,8 @@ def verify_theorem(
 ) -> VerificationReport:
     """Evaluate Phi(i)/i by the chosen route and check it clears THRESHOLD.
 
-    passed = (margin > error_estimate); a false verdict is a result, not an
-    error.
+    passed = (margin > error_estimate), the route's error estimate; a false
+    verdict is a result, not an error.
     """
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

@@ -2,15 +2,11 @@
 
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
-in a few integrand calls. Problems come in lanes. A lane is a group of
-problems that share one row layout and one evaluation budget: integrate_1d
-is one lane holding one problem, the inner solves of an integrate_2d round
-are one lane holding many, and a sweep is one lane per integrand. Each lane
-gets the bits it would get if solved alone, so a result does not depend on
-what else is solved with it. All final reductions run in fixed position
-order, so identical inputs produce bit-identical results regardless of how
-panels were discovered. One evaluation budget covers a whole solve, nested
-solves included; each lane of a sweep is a solve of its own.
+in a few integrand calls, the way integrate_2d solves the inner integrals of
+a whole outer round. All final reductions run in fixed position order, so
+identical inputs produce bit-identical results regardless of how panels were
+discovered. One evaluation budget covers a whole solve, nested solves
+included.
 """
 
 from __future__ import annotations
@@ -77,13 +73,11 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
-# panels per integrand call and per lane block (at most _BLOCK consecutive
-# panels of one lane), and lanes per sweep solve, which bounds a round's
-# working memory. BLAS dgemv sums a row by a kernel chosen by its place among
-# groups of four rows, so each lane's K15/G7 sums run on its own lane blocks,
-# as they would alone; a multiple of 4 gives every row of a split one-problem
-# round (an even count after the first round) the kernel it had in the whole
-# round, so a one-problem solve keeps its bits however its round is blocked.
+# panels per integrand call and per K15/G7 sum, which bounds a round's working
+# memory. BLAS dgemv sums a row by a kernel chosen by its place among groups of
+# four rows, so a multiple of 4 gives every row of a split one-problem round
+# (an even count after the first round) the kernel it had in the whole round:
+# a one-problem solve keeps its bits however its round is blocked.
 _BLOCK = 128
 
 
@@ -116,64 +110,42 @@ def _lockstep(
     tol: float,
     problems: int,
     min_panels: int,
-    *budgets: _Budget,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive G7K15 on [a, b] for many integrands at once, all to the same
-    tolerance.
+    budget: _Budget,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
+    the same tolerance.
 
-    Each budget opens a lane of `problems` integrands; problem p of lane k
-    has index k * problems + p. f(owner, x) receives flat arrays of problem
-    indices and abscissae and returns the matching values. Each round
-    evaluates every live panel of every problem; a panel is accepted or
-    halved by its own K15-G7 gap, so a problem's panels do not depend on the
-    others. A lane's rows keep the order a solve of that lane alone would
-    give them (its split left halves, then their right halves) and its K15
-    and G7 sums run on blocks of at most _BLOCK of its own rows, so every
-    lane gets the bits it would get alone. The integrand sees whole lane
-    blocks, packed into calls of at most _BLOCK panels; everything
-    elementwise runs once per round.
-
-    Returns each problem's value and error (fsum of its accepted panels in
-    position order) and each lane's evaluations. The round that would
-    overrun a lane's budget raises NonConvergenceError before it is
-    evaluated, and an integrand call that returns a non-finite value raises
-    it at once.
+    f(owner, x) receives flat arrays of problem indices and abscissae and
+    returns the matching values. Each round evaluates every live panel of
+    every problem, in integrand calls of at most _BLOCK panels, and runs its
+    K15 and G7 sums on the same blocks; everything elementwise runs once per
+    round. A panel is accepted or halved by its own K15-G7 gap, so a
+    problem's panels do not depend on the others. Returns each problem's
+    value and error (fsum of its accepted panels in position order) and the
+    total evaluations. The round that would overrun the budget raises
+    NonConvergenceError before it is evaluated, and an integrand call that
+    returns a non-finite value raises it at once.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
     edges = np.linspace(a, b, min_panels + 1)
-    total = len(budgets) * problems
-    lo = np.tile(edges[:-1], total)
-    hi = np.tile(edges[1:], total)
-    owner = np.repeat(np.arange(total), min_panels)
-    rows = [problems * min_panels] * len(budgets)  # each lane's, contiguous
+    lo = np.tile(edges[:-1], problems)
+    hi = np.tile(edges[1:], problems)
+    owner = np.repeat(np.arange(problems), min_panels)
     done: list[tuple[np.ndarray, ...]] = []
-    nev = [0] * len(budgets)
+    nev = 0
 
     while lo.size:
-        blocks = []  # (start, end) of each lane block
-        start = 0
-        for k, n in enumerate(rows):
-            if n:
-                budgets[k].spend(n * _NODES.size, a, b, tol)
-                nev[k] += n * _NODES.size
-                blocks += [
-                    (s, min(s + _BLOCK, start + n))
-                    for s in range(start, start + n, _BLOCK)
-                ]
-                start += n
-        cuts = [0]  # integrand calls: whole lane blocks, at most _BLOCK panels
-        for s, e in blocks:
-            if e - cuts[-1] > _BLOCK:
-                cuts.append(s)
-        cuts.append(lo.size)
+        budget.spend(lo.size * _NODES.size, a, b, tol)
+        nev += lo.size * _NODES.size
+        blocks = [(s, min(s + _BLOCK, lo.size)) for s in range(0, lo.size, _BLOCK)]
 
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
         pts = mid[:, None] + hw[:, None] * _NODES[None, :]
         owners = np.repeat(owner, _NODES.size)
         parts = []
-        for s, e in zip(cuts[:-1], cuts[1:]):
+        for s, e in blocks:
             v = np.asarray(
                 f(owners[s * _NODES.size : e * _NODES.size], pts[s:e].ravel()),
                 dtype=float,
@@ -187,8 +159,6 @@ def _lockstep(
             parts.append(v)
         fv = _joined(parts).reshape(pts.shape)
 
-        # BLAS dgemv picks a row's summation kernel by its place in the
-        # matrix, so the sums run per lane block, as they would alone
         ik, ig, resabs = (
             _joined([m[s:e] @ w for s, e in blocks]) * hw
             for m, w in ((fv, _WK15), (fv, _WG7), (np.abs(fv), _WK15))
@@ -206,22 +176,14 @@ def _lockstep(
         lo = np.concatenate([bl, mids])
         hi = np.concatenate([mids, bh])
         owner = np.concatenate([bo, bo])
-        if len(rows) == 1:
-            rows = [lo.size]
-        else:
-            # regroup by lane: each lane's left halves, then its right halves
-            lane = owner // problems
-            order = np.argsort(lane, kind="stable")
-            lo, hi, owner = lo[order], hi[order], owner[order]
-            rows = np.bincount(lane, minlength=len(rows)).tolist()
 
     own, pos, val, err = (np.concatenate(c) for c in zip(*done))
     order = np.lexsort((pos, own))
-    cuts = np.searchsorted(own[order], np.arange(total + 1))
+    cuts = np.searchsorted(own[order], np.arange(problems + 1))
     val, err = val[order].tolist(), err[order].tolist()
     values = np.array([math.fsum(val[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
     errors = np.array([math.fsum(err[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
-    return values, errors, np.array(nev)
+    return values, errors, nev
 
 
 def _check_interval(a: float, b: float, tol: float) -> None:
@@ -231,32 +193,6 @@ def _check_interval(a: float, b: float, tol: float) -> None:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-
-def _integrate_lanes(
-    f: Callable, a: float, b: float, tol: float, lanes: int, max_evals: int = 10**6
-) -> QuadResult:
-    """Integrate f(lane, x) over [a, b] for every lane in range(lanes), each
-    exactly as integrate_1d would integrate it alone: the same value, error
-    estimate and evaluations, bit for bit, and its own max_evals.
-
-    f receives flat arrays of lane indices and abscissae and must evaluate
-    elementwise. The result's fields are arrays with one entry per lane. At
-    most _BLOCK lanes are solved together, which bounds the working memory
-    of a long sweep.
-    """
-    _check_interval(a, b, tol)
-    if a == b or not lanes:
-        zeros = np.zeros(lanes)
-        return QuadResult(zeros, zeros, np.zeros(lanes, dtype=int))
-    parts = []
-    for first in range(0, lanes, _BLOCK):
-        budgets = (_Budget(max_evals) for _ in range(min(_BLOCK, lanes - first)))
-        parts.append(_lockstep(
-            lambda lane, x, first=first: f(lane + first, x),
-            float(a), float(b), tol, 1, 1, *budgets,
-        ))
-    return QuadResult(*map(_joined, zip(*parts)))
 
 
 def integrate_1d(
@@ -276,8 +212,13 @@ def integrate_1d(
     instead, so evaluations never exceed max_evals; so does the first round
     in which f returns a non-finite value.
     """
-    r = _integrate_lanes(lambda lane, x: f(x), a, b, tol, 1, max_evals)
-    return QuadResult(r.value.item(), r.error_estimate.item(), r.evaluations.item())
+    _check_interval(a, b, tol)
+    if a == b:
+        return QuadResult(0.0, 0.0, 0)
+    value, err, nev = _lockstep(
+        lambda owner, x: f(x), float(a), float(b), tol, 1, 1, _Budget(max_evals)
+    )
+    return QuadResult(float(value[0]), float(err[0]), nev)
 
 
 def integrate_2d(
@@ -315,12 +256,12 @@ def integrate_2d(
 
     def outer_integrand(_owner: np.ndarray, xs: np.ndarray) -> np.ndarray:
         nonlocal worst_inner, inner_evals
-        values, errs, (n,) = _lockstep(
+        values, errs, n = _lockstep(
             lambda owner, ys: f(xs[owner], ys),
             ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget,
         )
         worst_inner = max(worst_inner, float(errs.max()))
-        inner_evals += int(n)
+        inner_evals += n
         return values
 
     value, outer_err, _ = _lockstep(

@@ -4,14 +4,16 @@ import math
 
 import pytest
 
+import signcorr.phi
 from signcorr import (
+    NonConvergenceError,
     RotationFamily,
     grid_scan,
+    integrate_1d,
     maximize_eta,
     phi_i_bessel,
+    phi_i_fourier,
 )
-from signcorr.phi import _phi_i_bessel_each
-from signcorr.quad import _BLOCK
 
 ETA_STAR_REF = 0.227560943876
 
@@ -26,24 +28,42 @@ class TestGridScan:
         assert scan.best_value == max(p[1] for p in scan.points)
 
     def test_points_match_direct_evaluation(self):
-        # a short grid, the CLI's default grid and one with more etas than a
-        # single quadrature solve takes: every eta gets the bits it gets alone
+        # a short grid, the CLI's default grid and a long one at a tight tol:
+        # every point has the bits phi_i_fourier gives at its eta alone
         grids = [
             (0.1, 0.3, 4, 1e-9),
             (0.0, 0.5, 50, 1e-9),
-            (0.0, 3.0, 2 * _BLOCK + 20, 1e-11),
+            (0.0, 50.0, 300, 1e-13),
         ]
         for lo, hi, steps, tol in grids:
             scan = grid_scan(lo, hi, steps, tol)
-            etas = [eta for eta, _, _ in scan.points]
-            swept = _phi_i_bessel_each(etas, tol)
-            for (eta, value, err), r in zip(scan.points, swept):
-                direct = phi_i_bessel(RotationFamily(eta), tol)
-                assert value == direct.value
-                assert err == direct.error_estimate
-                assert r == direct
-        # and the one-eta case refines as it always has
+            assert len(scan.points) == steps + 1
+            for eta, value, err in scan.points:
+                direct = phi_i_fourier(RotationFamily(eta), tol)
+                assert value.hex() == direct.value.hex()
+                assert err.hex() == direct.error_estimate.hex()
+
+    def test_overflowing_phase_raises(self):
+        # the phase check runs against the grid's largest |eta|, before any
+        # sampling
+        with pytest.raises(NonConvergenceError, match="non-finite phase"):
+            grid_scan(0.0, 1e307, 2)
+
+    def test_no_quadrature_through_traced_name(self, monkeypatch):
+        # the traced benchmark run rebinds phi.integrate_1d to count solves:
+        # the Bessel route makes one, a sweep none
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return integrate_1d(*args, **kwargs)
+
+        monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
         assert phi_i_bessel(RotationFamily(0.228)).evaluations == 285
+        assert len(calls) == 1
+        calls.clear()
+        grid_scan(0.0, 0.5, 50)
+        assert calls == []
 
     def test_single_point(self):
         scan = grid_scan(0.228, 0.228, 0)
@@ -108,7 +128,7 @@ class TestMaximizeEta:
         # that misses it peaks at the end nearer to it
         res = maximize_eta(lo, hi)
         assert res.eta_star == edge
-        assert res.value_star == phi_i_bessel(RotationFamily(edge)).value
+        assert res.value_star == phi_i_fourier(RotationFamily(edge)).value
 
     def test_degenerate_bracket_returns_endpoint(self):
         res = maximize_eta(0.228, 0.228001)
@@ -135,9 +155,9 @@ class TestMaximizeEta:
 
     def test_value_matches_direct_evaluation(self):
         res = maximize_eta(0.0, 0.5)
-        direct = phi_i_bessel(RotationFamily(res.eta_star))
-        assert res.value_star == direct.value
-        assert res.error_estimate == direct.error_estimate
+        direct = phi_i_fourier(RotationFamily(res.eta_star))
+        assert res.value_star.hex() == direct.value.hex()
+        assert res.error_estimate.hex() == direct.error_estimate.hex()
 
     def test_validation(self):
         with pytest.raises(ValueError):

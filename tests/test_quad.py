@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import signcorr.phi
@@ -18,13 +18,11 @@ from signcorr import (
     phi_i_bessel,
 )
 from signcorr.quad import (
-    _BLOCK,
     _INNER_MIN_PANELS,
     _NODES,
     _WG7,
     _WK15,
     _Budget,
-    _integrate_lanes,
     _lockstep,
 )
 
@@ -163,6 +161,8 @@ class TestIntegrate1d:
         with pytest.raises(NonConvergenceError):
             integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 100.0, 1e-14,
                          max_evals=500)
+        with pytest.raises(NonConvergenceError, match="within 1000 evaluations"):
+            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 10.0, 1e-10, max_evals=1000)
 
     def test_non_finite_value_raises_in_first_round(self):
         # NaN on half the interval: reported in the round that meets it, not
@@ -260,9 +260,8 @@ class TestLockstep:
     @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 20.0])
     def test_one_problem_matches_single_problem_loop(self, monkeypatch, route,
                                                      args, eta):
-        # the radial real-t oracle solves through integrate_1d, phi_i_bessel
-        # through one lane of _integrate_lanes; record either as a
-        # one-problem solve
+        # the radial real-t oracle and phi_i_bessel both solve through an
+        # integrate_1d looked up at call time; record the one solve
         calls = []
 
         def recording(f, a, b, tol):
@@ -270,16 +269,8 @@ class TestLockstep:
             calls.append((f, a, b, tol, r))
             return r
 
-        def recording_lanes(f, a, b, tol, lanes):
-            r = _integrate_lanes(f, a, b, tol, lanes)
-            assert lanes == 1
-            fields = (r.value.item(), r.error_estimate.item(), r.evaluations.item())
-            calls.append((lambda x: f(np.zeros(x.shape, dtype=int), x), a, b, tol,
-                          QuadResult(*fields)))
-            return r
-
         monkeypatch.setattr(radial, "integrate_1d", recording)
-        monkeypatch.setattr(signcorr.phi, "_integrate_lanes", recording_lanes)
+        monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
         route(RotationFamily(eta), *args)
         ((f, a, b, tol, r),) = calls
         value, err, nev = single_problem_adaptive(f, a, b, tol, 1, 10**6)
@@ -302,59 +293,6 @@ class TestLockstep:
             solo_evals += solo.evaluations
         # acceptance is per panel, so each problem refines as it would alone
         assert nev == solo_evals
-
-    def test_one_problem_lanes_match_solo_solves(self):
-        # more lanes than one solve takes, some with rounds of several blocks
-        n = 2 * _BLOCK + 5
-        rate = np.linspace(0.05, 2.0, n)
-        freq = np.linspace(0.0, 60.0, n)[::-1]
-        tol = 1e-11
-
-        def f(lane, x):
-            return np.exp(-rate[lane] * x) * np.cos(freq[lane] * x)
-
-        lanes = _integrate_lanes(f, 0.0, 20.0, tol, n)
-        # the busiest lanes refine to rounds of more than one lane block
-        assert max(lanes.evaluations) > 4 * _BLOCK * _NODES.size
-        for i in range(n):
-            solo = integrate_1d(lambda x: f(i, x), 0.0, 20.0, tol)
-            got = (lanes.value[i], lanes.error_estimate[i], lanes.evaluations[i])
-            assert got == (solo.value, solo.error_estimate, solo.evaluations)
-
-    @given(
-        st.lists(st.floats(0.0, 25.0), min_size=1, max_size=12),
-        st.floats(6.0, 13.0),
-    )
-    @settings(max_examples=25)
-    def test_bessel_lanes_match_solo_solves(self, etas, digits):
-        # the Bessel route's integrand, any eta set, tol 1e-6 .. 1e-13
-        tol = 10.0 ** -digits
-        eta = np.array(etas)
-
-        def f(lane, rho):
-            return (np.arcsinh(np.cos(eta[lane] * (2.0 * rho - 1.0)))
-                    * np.exp(-rho) * bessel_j0(rho))
-
-        lanes = _integrate_lanes(f, 0.0, 100.0, tol, eta.size)
-        for i in range(eta.size):
-            solo = integrate_1d(lambda x: f(np.full(x.shape, i), x), 0.0, 100.0, tol)
-            got = (lanes.value[i], lanes.error_estimate[i], lanes.evaluations[i])
-            assert got == (solo.value, solo.error_estimate, solo.evaluations)
-
-    def test_each_lane_has_its_own_budget(self):
-        # the cheap lanes need 1,965 evaluations together but at most 945
-        # each, so they fit a budget of 1,000 per lane; the lane at frequency
-        # 5000 overruns it
-        freq = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 5000.0])
-        points = CountingIntegrand(lambda lane, x: np.cos(freq[lane] * x))
-        with pytest.raises(NonConvergenceError, match="within 1000 evaluations"):
-            _integrate_lanes(points, 0.0, 10.0, 1e-10, freq.size, max_evals=1000)
-        assert points.points <= freq.size * 1000
-        cheap = _integrate_lanes(lambda lane, x: np.cos(freq[lane] * x),
-                                 0.0, 10.0, 1e-10, freq.size - 1, max_evals=1000)
-        assert cheap.evaluations.tolist() == [105, 225, 225, 465, 945]
-        with pytest.raises(NonConvergenceError, match="within 1000 evaluations"):
-            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 10.0, 1e-10, max_evals=1000)
 
     def test_inner_integrals_match_bessel_at_every_outer_node(self):
         # one batched round of the polar route's inner solves: the 15 nodes of
