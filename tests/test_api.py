@@ -2,6 +2,8 @@
 re-exports each submodule's public names."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,3 +25,14 @@ def test_submodule_names_reexported(module):
         assert hasattr(mod, name), f"{module}.{name}"
         assert name in signcorr.__all__, f"{module}.{name}"
         assert getattr(signcorr, name) is getattr(mod, name)
+
+
+def test_import_loads_no_thread_pool():
+    # mc imports concurrent.futures, and with it logging, only when it samples
+    code = (
+        "import sys, signcorr; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

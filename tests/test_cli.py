@@ -406,6 +406,9 @@ USAGE_ERRORS = [
      "signcorr: error: --t is only meaningful with --target phi-t"),
     (["mc", "--family", "identity1", "--samples", "0", "--seed", "1"],
      "signcorr mc: error: argument --samples: must be >= 1, got 0"),
+    (["mc", "--family", "identity1", "--samples", "1000",
+      "--seed", "18446744073709551616"],
+     "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
 ]
 
 

@@ -202,7 +202,7 @@ class TestThreads:
         baseline = threading.active_count()
         with pytest.raises(Boom, match="block 5"):
             estimate_phi_t(mc.Family("boom", 1, F, F), 0.5, 20 * (mc._BLOCK // 2), 0)
-        assert next(calls) < 40  # F and G once per block: claims stopped early
+        assert next(calls) < 40  # F and G once per block: the failing stripe stopped
         assert threading.active_count() == baseline
 
     def test_caller_errstate_applies_on_helpers(self, monkeypatch):
@@ -211,7 +211,7 @@ class TestThreads:
 
         def F(x):
             if threading.current_thread() is caller:
-                helper_ran.wait(timeout=60)  # leave a block to the helper
+                helper_ran.wait(timeout=60)  # let a pool thread weight a block first
                 return x[:, 0]
             helper_ran.set()
             return x[:, 0] * 1e308 * 10.0  # overflows for |x| > 0.18
@@ -289,7 +289,7 @@ class TestValidation:
                 estimate_phi_i(identity1(), bad, 0)
 
     def test_rejects_bad_seed(self):
-        for bad in (-1, False):
+        for bad in (-1, False, 2**64):
             with pytest.raises(ValueError):
                 estimate_phi_t(identity1(), 0.5, 100, bad)
             with pytest.raises(ValueError):
