@@ -163,8 +163,9 @@ def _accumulate(
     def fill(w: np.ndarray, lo: int, stripe: range) -> None:
         for c0 in stripe:
             c1 = min(c0 + step, len(w))
-            z = _normals(seed, (lo + c0) * stride, (c1 - c0) * stride)
-            w[c0:c1] = weights(z.reshape(c1 - c0, stride))
+            first, count = (lo + c0) * stride, (c1 - c0) * stride
+            # unnamed, a block's normals are freed before the next block draws
+            w[c0:c1] = weights(_normals(seed, first, count).reshape(-1, stride))
 
     sums: list[float] = []
     sqsums: list[float] = []

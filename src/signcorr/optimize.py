@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import _phi_i_fourier_each
+from .phi import _MAX_SAMPLES, _phi_i_fourier_each
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
 
@@ -54,14 +54,17 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
 
     All etas share one set of Fourier-Laplace coefficients, and every value
     and error estimate equals phi_i_fourier's at that eta. steps = 0 (or
-    lo = hi) collapses to a single evaluation. Ties on the maximum go to the
-    smallest eta.
+    lo = hi) collapses to a single evaluation; a grid of more than 2^20 etas
+    raises ValueError. Ties on the maximum go to the smallest eta.
     """
     # a finite width keeps np.linspace from overflowing to nan etas
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite lo <= hi, hi - lo finite, got [{lo}, {hi}]")
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
+    # the harmonic sum's sample budget bounds a grid's etas too
+    if steps >= _MAX_SAMPLES:
+        raise ValueError(f"steps must be below {_MAX_SAMPLES}, got {steps}")
     etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
     results = _phi_i_fourier_each(etas, tol)
     points = tuple(

@@ -3,10 +3,10 @@
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
 in a few integrand calls, the way integrate_2d solves the inner integrals of
-a whole outer round. All final reductions run in fixed position order, so
-identical inputs produce bit-identical results regardless of how panels were
-discovered. One evaluation budget covers a whole solve, nested solves
-included.
+each outer integrand call (up to 128 outer panels) at once. All final
+reductions run in fixed position order, so identical inputs produce
+bit-identical results regardless of how panels were discovered. One
+evaluation budget covers a whole solve, nested solves included.
 """
 
 from __future__ import annotations
@@ -73,11 +73,7 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
-# panels per integrand call and per K15/G7 sum, which bounds a round's working
-# memory. BLAS dgemv sums a row by a kernel chosen by its place among groups of
-# four rows, so a multiple of 4 gives every row of a split one-problem round
-# (an even count after the first round) the kernel it had in the whole round:
-# a one-problem solve keeps its bits however its round is blocked.
+# panels per integrand call, which bounds the integrand's temporaries
 _BLOCK = 128
 
 
@@ -98,11 +94,6 @@ class _Budget:
         self.spent += n
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """np.concatenate(parts), without the copy when there is one part."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _lockstep(
     f: Callable,
     a: float,
@@ -117,14 +108,15 @@ def _lockstep(
 
     f(owner, x) receives flat arrays of problem indices and abscissae and
     returns the matching values. Each round evaluates every live panel of
-    every problem, in integrand calls of at most _BLOCK panels, and runs its
-    K15 and G7 sums on the same blocks; everything elementwise runs once per
-    round. A panel is accepted or halved by its own K15-G7 gap, so a
-    problem's panels do not depend on the others. Returns each problem's
-    value and error (fsum of its accepted panels in position order) and the
-    total evaluations. The round that would overrun the budget raises
-    NonConvergenceError before it is evaluated, and an integrand call that
-    returns a non-finite value raises it at once.
+    every problem, in integrand calls of at most _BLOCK panels, then takes
+    its K15, G7 and |f| sums once over the whole round, so a panel's sums
+    depend on its row's place in the round, not on _BLOCK; everything
+    elementwise runs once per round. A panel is accepted or halved by its
+    own K15-G7 gap, so a problem's panels do not depend on the others.
+    Returns each problem's value and error (fsum of its accepted panels in
+    position order) and the total evaluations. The round that would overrun
+    the budget raises NonConvergenceError before it is evaluated, and an
+    integrand call that returns a non-finite value raises it at once.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
@@ -138,31 +130,26 @@ def _lockstep(
     while lo.size:
         budget.spend(lo.size * _NODES.size, a, b, tol)
         nev += lo.size * _NODES.size
-        blocks = [(s, min(s + _BLOCK, lo.size)) for s in range(0, lo.size, _BLOCK)]
-
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
-        pts = mid[:, None] + hw[:, None] * _NODES[None, :]
-        owners = np.repeat(owner, _NODES.size)
-        parts = []
-        for s, e in blocks:
+        fv = np.empty((lo.size, _NODES.size))
+        for s in range(0, lo.size, _BLOCK):
+            e = min(s + _BLOCK, lo.size)
+            x = mid[s:e, None] + hw[s:e, None] * _NODES
             v = np.asarray(
-                f(owners[s * _NODES.size : e * _NODES.size], pts[s:e].ravel()),
-                dtype=float,
+                f(np.repeat(owner[s:e], _NODES.size), x.ravel()), dtype=float
             )
             if not np.isfinite(v).all():
                 i = np.flatnonzero(~np.isfinite(v))[0]
                 raise NonConvergenceError(
-                    f"non-finite integrand value {v[i]} at {pts[s:e].flat[i]} "
-                    f"on [{a}, {b}]"
+                    f"non-finite integrand value {v[i]} at {x.flat[i]} on [{a}, {b}]"
                 )
-            parts.append(v)
-        fv = _joined(parts).reshape(pts.shape)
+            # the exact shape, so a short result raises instead of broadcasting
+            fv[s:e] = v.reshape(e - s, _NODES.size)
 
-        ik, ig, resabs = (
-            _joined([m[s:e] @ w for s, e in blocks]) * hw
-            for m, w in ((fv, _WK15), (fv, _WG7), (np.abs(fv), _WK15))
-        )
+        ik = (fv @ _WK15) * hw
+        ig = (fv @ _WG7) * hw
+        resabs = (np.abs(fv) @ _WK15) * hw
         err = np.abs(ik - ig)
         # per-panel target scales with panel width; the roundoff floor stops
         # subdivision once the discrepancy is pure double-precision noise
@@ -231,10 +218,10 @@ def integrate_2d(
 ) -> QuadResult:
     """Integrate f(x, y) over a rectangle by iterated 1D quadrature.
 
-    The outer (x) axis adapts over inner (y) integrals. Each outer round
-    solves the inner integrals at all of its nodes together, each starting
-    from 8 panels so mildly oscillatory integrands cannot fool a single
-    coarse panel. f is called as f(x_array, y_array) with arrays of equal
+    The outer (x) axis adapts over inner (y) integrals. Each outer
+    integrand call solves the inner integrals at all of its nodes together,
+    each starting from 8 panels so mildly oscillatory integrands cannot fool
+    a single coarse panel. f is called as f(x_array, y_array) with arrays of equal
     shape and must evaluate elementwise. The error estimate combines the
     outer estimate with the worst inner estimate spread over the x span;
     evaluations counts integrand evaluations. max_evals bounds the whole

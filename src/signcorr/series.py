@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .phi import RotationFamily
@@ -97,7 +98,8 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
     integral of He_m in closed form (_char_integral).
     A_{j,m} vanishes for odd m by parity.
     """
-    if isinstance(K, bool) or not isinstance(K, int):
+    # numbers.Integral covers numpy's integer types as well as int
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral):
         raise ValueError(f"order must be an integer, got {K!r}")
     if K % 2 == 0:
         raise ValueError(f"order must be odd, got {K}")

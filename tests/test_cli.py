@@ -381,6 +381,9 @@ USAGE_ERRORS = [
      "signcorr: error: need --lo < --hi, got [0.4, 0.1]"),
     (["sweep", "--lo", "-1e308", "--hi", "1e308"],
      "signcorr: error: need finite lo <= hi, hi - lo finite, got [-1e+308, 1e+308]"),
+    # refused before any eta is computed, not by running out of memory
+    (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"],
+     "signcorr: error: steps must be below 1048576, got 1000000000000000"),
     (["mc", "--family", "identity1", "--eta", "0.2", "--seed", "1"],
      "signcorr: error: identity1 takes no --eta or --epsilon"),
     (["mc", "--family", "rotation3", "--seed", "1"],

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import signcorr.optimize
 import signcorr.phi
 from signcorr import (
     NonConvergenceError,
@@ -96,6 +97,14 @@ class TestGridScan:
             grid_scan(0.0, 0.5, True)
         with pytest.raises(ValueError):
             grid_scan(-1e308, 1e308, 2)
+
+    def test_grid_size_bounded_by_sample_budget(self, monkeypatch):
+        with pytest.raises(ValueError, match="steps must be below 1048576"):
+            grid_scan(0.0, 0.5, 2**20)
+        monkeypatch.setattr(signcorr.optimize, "_MAX_SAMPLES", 4)
+        assert len(grid_scan(0.0, 0.5, 3).points) == 4
+        with pytest.raises(ValueError, match="steps must be below 4"):
+            grid_scan(0.0, 0.5, 4)
 
 
 class TestMaximizeEta:

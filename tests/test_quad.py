@@ -1,6 +1,7 @@
 """Adaptive quadrature: exactness, honest error estimates, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import signcorr.phi
+import signcorr.quad
 from signcorr import (
     NonConvergenceError,
     QuadResult,
@@ -16,6 +18,8 @@ from signcorr import (
     integrate_1d,
     integrate_2d,
     phi_i_bessel,
+    phi_i_cartesian,
+    phi_i_polar,
 )
 from signcorr.quad import (
     _INNER_MIN_PANELS,
@@ -309,6 +313,45 @@ class TestLockstep:
         exact = math.pi * bessel_j0(rho)
         assert np.all(np.abs(values - exact) <= inner_tol)
         assert np.all(errs <= inner_tol)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "route,eta",
+        # at eta 20 the Bessel route's rounds span several default blocks
+        [(phi_i_bessel, 20.0), (phi_i_polar, 0.228), (phi_i_cartesian, 0.228)],
+    )
+    def test_bits_do_not_depend_on_block_size(self, monkeypatch, route, eta,
+                                              block):
+        # each round is summed whole, so _BLOCK only sizes integrand calls;
+        # in the 2D routes it also decides which inner solves share a round,
+        # which moves no bit at 0.228
+        fam = RotationFamily(eta)
+        ref = route(fam)
+        monkeypatch.setattr(signcorr.quad, "_BLOCK", block)
+        got = route(fam)
+        assert got.value.hex() == ref.value.hex()
+        assert got.error_estimate.hex() == ref.error_estimate.hex()
+        assert got.evaluations == ref.evaluations
+
+    def test_short_block_result_raises_instead_of_broadcasting(self, monkeypatch):
+        # 15 values for a 2-panel block would fill both rows if broadcast
+        monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
+        with pytest.raises(ValueError):
+            _lockstep(lambda owner, x: np.ones(_NODES.size), 0.0, 1.0, 1e-9,
+                      3, 1, _Budget(10**6))
+
+    def test_non_finite_value_in_later_block_names_its_point(self, monkeypatch):
+        # three problems on [0, 1], one panel each: blocks {0, 1} and {2};
+        # problem 2 is NaN past 0.5, so the second call raises
+        monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
+        f = CountingIntegrand(
+            lambda owner, x: np.where((owner == 2) & (x > 0.5), np.nan, x)
+        )
+        x = 0.5 + 0.5 * _NODES
+        expected = f"non-finite integrand value nan at {x[x > 0.5][0]} on [0.0, 1.0]"
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
+            _lockstep(f, 0.0, 1.0, 1e-9, 3, 1, _Budget(10**6))
+        assert f.points == 3 * _NODES.size
 
     def test_budget_checked_before_each_round(self):
         f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x))

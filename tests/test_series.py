@@ -218,9 +218,14 @@ class TestMehlerCoefficients:
 
     def test_rejects_bad_order(self):
         fam = RotationFamily(0.228)
-        for K in (0, -3, 2, 13.0, 17):
+        for K in (0, -3, 2, 13.0, 17, True, np.int64(12), np.float64(11.0)):
             with pytest.raises(ValueError):
                 mehler_coefficients(fam, K)
+
+    @pytest.mark.parametrize("K", [np.int64(11), np.int32(11), np.uint8(11)])
+    def test_accepts_numpy_integer_order(self, K):
+        fam = RotationFamily(0.228)
+        assert mehler_coefficients(fam, K) == mehler_coefficients(fam, 11)
 
 
 class TestReversion:
