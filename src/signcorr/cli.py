@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import __version__
 from .mc import estimate_phi_i, estimate_phi_t, hermite5, identity1, rotation3
 from .optimize import grid_scan, maximize_eta
@@ -211,10 +213,14 @@ def _cmd_mc(args):
         raise ValueError("--t is only meaningful with --target phi-t")
     # before sampling, so a reference that fails to converge wastes no draws
     reference = _mc_reference(args)
-    if args.target == "phi-t":
-        est = estimate_phi_t(family, args.t, args.samples, args.seed)
-    else:
-        est = estimate_phi_i(family, args.samples, args.seed)
+    # an overflowing F or G keeps its sign, and a NaN one (cos(inf) in
+    # rotation3's angle) fails the estimate as non-convergence, so a numpy
+    # warning would only repeat either; pool threads inherit this state
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.target == "phi-t":
+            est = estimate_phi_t(family, args.t, args.samples, args.seed)
+        else:
+            est = estimate_phi_i(family, args.samples, args.seed)
     payload = {
         "inputs": inputs,
         "value": est.mean,

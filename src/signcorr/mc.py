@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .phi import RotationFamily
-from .specfun import hermite_prob
+from .quad import NonConvergenceError
+from .specfun import _is_count, hermite_prob
 
 __all__ = [
     "Family",
@@ -38,6 +39,8 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MULT1 = _U64(0xBF58476D1CE4E5B9)
 _MULT2 = _U64(0x94D049BB133111EB)
 _BATCH = 1 << 20
+# the samples one estimate may take: 1024 batches, minutes on two CPUs
+_MAX_SAMPLES = 1 << 30
 # normals drawn and weighted at a time: 256 KB of float64, so a block's
 # temporaries stay in cache instead of streaming batch-sized arrays
 _BLOCK = 1 << 15
@@ -133,10 +136,6 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def _accumulate(
     family: Family, samples: int, seed: int, weights: Callable
 ) -> McEstimate:
@@ -147,9 +146,12 @@ def _accumulate(
     The stream is counter-indexed, the weights act row by row and each block
     writes only its own rows, so neither blocking nor the thread count changes
     a bit; the fixed batch size and per-batch numpy sums keep the reduction
-    bit-stable."""
+    bit-stable. A batch whose sums are not finite raises NonConvergenceError
+    naming its first non-finite weight."""
     if not _is_count(samples) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most 2**30, got {samples}")
     if not _is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     # deferred: concurrent.futures imports logging, a cost `import signcorr` skips
@@ -181,6 +183,14 @@ def _accumulate(
                 f.result()  # an error leaves the `with` once the pool has joined
             sums.append(float(np.sum(w)))
             sqsums.append(float(np.sum(w * w)))
+            # a weight is a product of signs and a bounded factor, so only a
+            # non-finite weight makes a sum non-finite
+            if not math.isfinite(sums[-1] + sqsums[-1]):
+                i = int(np.flatnonzero(~np.isfinite(w))[0])
+                raise NonConvergenceError(
+                    f"non-finite Monte Carlo weight {w[i]} at sample {lo + i} "
+                    f"(seed {seed})"
+                )
     total = math.fsum(sums)
     mean = total / samples
     if samples > 1:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phi import _MAX_SAMPLES, _phi_i_fourier_each
+from .specfun import _is_count
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
 
@@ -60,7 +61,7 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     # a finite width keeps np.linspace from overflowing to nan etas
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise ValueError(f"need finite lo <= hi, hi - lo finite, got [{lo}, {hi}]")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+    if not _is_count(steps) or steps < 0:
         raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
     # the harmonic sum's sample budget bounds a grid's etas too
     if steps >= _MAX_SAMPLES:

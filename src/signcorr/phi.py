@@ -87,13 +87,15 @@ class VerificationReport:
     passed: bool
 
 
+def _radial(eta: float, rho):
+    """The radial factor argsinh(cos(eta(2 rho - 1))) e^{-rho} that every
+    quadrature route integrates against its own kernel, elementwise."""
+    return np.arcsinh(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rho)
+
+
 def _integrand_polar(eta: float, rho, theta):
     """argsinh(cos(eta(2 rho - 1))) e^{-rho} cos(rho sin theta), elementwise."""
-    return (
-        np.arcsinh(np.cos(eta * (2.0 * rho - 1.0)))
-        * np.exp(-rho)
-        * np.cos(rho * np.sin(theta))
-    )
+    return _radial(eta, rho) * np.cos(rho * np.sin(theta))
 
 
 def _solve(integrate, f, domain, pref, tail, tol) -> QuadResult:
@@ -120,24 +122,21 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     def f(rho, th):
         return _integrand_polar(family.eta, rho, th)
 
-    # |integrand| <= argsinh(1) e^{-rho}, integrated over the theta range
-    tail = _PREFACTOR * _cutoff_tail(_ASINH1 * math.pi, 1.0)
+    # pi argsinh(1) e^{-rho} bounds the theta integral, as in the Bessel route
+    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
     domain = ((0.0, _CUTOFF), (0.0, math.pi))
     return _solve(integrate_2d, f, domain, _PREFACTOR, tail, tol)
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as the plane integral of
-    argsinh(cos(eps(x^2+y^2-2))) e^{-(x^2+y^2)/4} cos(xy/2) / (sqrt2 pi^2),
-    folded to [0, _BOX]^2 (the integrand is even in x and in y separately)."""
-    eps = family.epsilon
+    argsinh(cos(eta(2 rho - 1))) e^{-rho} cos(xy/2) / (sqrt2 pi^2),
+    rho = (x^2+y^2)/4, folded to [0, _BOX]^2 (the integrand is even in x
+    and in y separately)."""
+    eta = family.eta
 
     def f(x, y):
-        return (
-            np.arcsinh(np.cos(eps * (x * x + y * y - 2.0)))
-            * np.exp(-(x * x + y * y) / 4.0)
-            * np.cos(x * y / 2.0)
-        )
+        return _radial(eta, (x * x + y * y) / 4.0) * np.cos(x * y / 2.0)
 
     # Gaussian tail outside the box, with the plane prefactor folded in;
     # _BOX = 14 puts this near 1e-22
@@ -153,11 +152,7 @@ def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     eta = family.eta
 
     def g(rho):
-        return (
-            np.arcsinh(np.cos(eta * (2.0 * rho - 1.0)))
-            * np.exp(-rho)
-            * bessel_j0(rho)
-        )
+        return _radial(eta, rho) * bessel_j0(rho)
 
     # |arcsinh(cos)| <= argsinh(1) and |J0| <= 1
     tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
@@ -208,7 +203,8 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
             )
         n *= 2
     eta = max(etas, key=abs)
-    if not math.isfinite((2 * k - 1) * eta):
+    # the Laplace factor is about -2i w_k, so 2 w_k must be finite too
+    if not math.isfinite(2.0 * (2 * k - 1) * eta):
         raise NonConvergenceError(
             f"non-finite phase (2k+1) eta for some k < {k} at eta={eta!r}"
         )

@@ -3,9 +3,9 @@
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
 in a few integrand calls, the way integrate_2d solves the inner integrals of
-each outer integrand call (up to 128 outer panels) at once. All final
-reductions run in fixed position order, so identical inputs produce
-bit-identical results regardless of how panels were discovered. One
+each outer integrand call (up to 128 outer panels) at once. Each problem's
+accepted panels are summed by math.fsum, which is correctly rounded, so a
+result does not depend on the order in which its panels were accepted. One
 evaluation budget covers a whole solve, nested solves included.
 """
 
@@ -113,10 +113,11 @@ def _lockstep(
     depend on its row's place in the round, not on _BLOCK; everything
     elementwise runs once per round. A panel is accepted or halved by its
     own K15-G7 gap, so a problem's panels do not depend on the others.
-    Returns each problem's value and error (fsum of its accepted panels in
-    position order) and the total evaluations. The round that would overrun
-    the budget raises NonConvergenceError before it is evaluated, and an
-    integrand call that returns a non-finite value raises it at once.
+    Returns each problem's value and error, each an fsum of its accepted
+    panels, which is correctly rounded in any order, and the total
+    evaluations. The round that would overrun the budget raises
+    NonConvergenceError before it is evaluated, and an integrand call that
+    returns a non-finite value raises it at once.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
@@ -155,7 +156,7 @@ def _lockstep(
         # subdivision once the discrepancy is pure double-precision noise
         target = np.maximum(tol * (2.0 * hw) / span, 50.0 * _EPS * resabs)
         ok = (err <= target) | (2.0 * hw <= width_floor)
-        done.append((owner[ok], lo[ok], ik[ok], err[ok]))
+        done.append((owner[ok], ik[ok], err[ok]))
 
         bad = ~ok
         bl, bh, bo = lo[bad], hi[bad], owner[bad]
@@ -164,8 +165,8 @@ def _lockstep(
         hi = np.concatenate([mids, bh])
         owner = np.concatenate([bo, bo])
 
-    own, pos, val, err = (np.concatenate(c) for c in zip(*done))
-    order = np.lexsort((pos, own))
+    own, val, err = (np.concatenate(c) for c in zip(*done))
+    order = np.argsort(own, kind="stable")
     cuts = np.searchsorted(own[order], np.arange(problems + 1))
     val, err = val[order].tolist(), err[order].tolist()
     values = np.array([math.fsum(val[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 from .phi import RotationFamily
 # integrate_1d and hermite_prob are not called here; the traced benchmark run
 # rebinds both by name
 from .quad import integrate_1d  # noqa: F401
-from .specfun import arcsin_coeff, hermite_prob  # noqa: F401
+from .specfun import _is_count, arcsin_coeff, hermite_prob  # noqa: F401
 
 __all__ = [
     "OddSeries",
@@ -98,8 +97,7 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
     integral of He_m in closed form (_char_integral).
     A_{j,m} vanishes for odd m by parity.
     """
-    # numbers.Integral covers numpy's integer types as well as int
-    if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+    if not _is_count(K):
         raise ValueError(f"order must be an integer, got {K!r}")
     if K % 2 == 0:
         raise ValueError(f"order must be odd, got {K}")

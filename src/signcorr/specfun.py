@@ -15,6 +15,11 @@ __all__ = ["hermite_prob", "arcsin_coeff", "bessel_j0"]
 _ARCSIN_COEFF_MAX = 64
 
 
+def _is_count(x) -> bool:
+    """Whether x is an int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _arcsin_table(nmax: int) -> tuple[float, ...]:
     # a_{j+1}/a_j = (2j+1)^2 / ((2j+2)(2j+3)) keeps everything in range;
     # raw factorials overflow doubles near j = 85 and lose accuracy long before.
@@ -35,7 +40,7 @@ def hermite_prob(m: int, x):
     Uses He_0 = 1, He_1 = x, He_{m+1}(x) = x He_m(x) - m He_{m-1}(x).
     Accepts scalars or numpy arrays.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+    if not _is_count(m):
         raise ValueError(f"degree must be an integer, got {m!r}")
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
@@ -51,7 +56,7 @@ def hermite_prob(m: int, x):
 def arcsin_coeff(j: int) -> float:
     """Return a_j = (2j)! / (4^j (j!)^2 (2j+1)), the coefficient of u^{2j+1}
     in the Maclaurin series of arcsin(u). Supported for 0 <= j <= 64."""
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
+    if not _is_count(j):
         raise ValueError(f"index must be an integer, got {j!r}")
     if j < 0 or j > _ARCSIN_COEFF_MAX:
         raise ValueError(f"index must be in [0, {_ARCSIN_COEFF_MAX}], got {j}")

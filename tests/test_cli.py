@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,9 @@ USAGE_ERRORS = [
      "signcorr: error: --t is only meaningful with --target phi-t"),
     (["mc", "--family", "identity1", "--samples", "0", "--seed", "1"],
      "signcorr mc: error: argument --samples: must be >= 1, got 0"),
+    # refused before any draw, not after minutes of sampling
+    (["mc", "--family", "identity1", "--samples", "1073741825", "--seed", "1"],
+     "signcorr: error: samples must be at most 2**30, got 1073741825"),
     (["mc", "--family", "identity1", "--samples", "1000",
       "--seed", "18446744073709551616"],
      "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
@@ -428,6 +432,44 @@ def test_usage_error_exits_two_with_one_message(capsys, argv, line):
     assert code == 2
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == line
+
+
+# each of these but the last printed a NaN value, or numpy warnings, or both
+NUMERIC_EDGES = [
+    (["verify", "--method", "fourier", "--eta", "5e306"], 3),
+    (["sweep", "--lo", "4e306", "--hi", "5e306"], 3),
+    (["optimize", "--lo", "4e306", "--hi", "5e306"], 3),
+    # the phi_real_t reference overflows its Laplace factor
+    (["mc", "--family", "rotation3", "--eta", "1e307", "--target", "phi-t",
+      "--t", "0.3", "--samples", "1000", "--seed", "1"], 3),
+    # the mixing angle overflows, so its cosine and the weights are NaN
+    (["mc", "--family", "rotation3", "--eta", "5e307", "--target", "phi-t",
+      "--t", "0.001", "--samples", "100000", "--seed", "1"], 3),
+    # F overflows to inf, which keeps its sign
+    (["mc", "--family", "hermite5", "--epsilon", "1e308", "--samples", "100000",
+      "--seed", "1"], 0),
+    (["verify", "--method", "fourier", "--eta", "3.5e306"], 1),
+]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv,expected", NUMERIC_EDGES,
+                         ids=[" ".join(argv) for argv, _ in NUMERIC_EDGES])
+def test_numeric_edge_reports_strict_json_quietly(capsys, argv, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv)
+    assert code == expected
+    if code == 3:
+        assert out == ""
+        assert err.startswith("signcorr: non-convergence: ")
+        assert err.count("\n") == 1
+    else:
+        json.loads(out, parse_constant=_no_constant)
+        assert err == ""
 
 
 # argparse's own negative-number pattern has no exponent, so without the

@@ -20,6 +20,7 @@ from signcorr import (
     phi_i_bessel,
     rotation3,
 )
+from signcorr.quad import NonConvergenceError
 
 
 # (mean, stderr) frozen before batches were split into blocks: identity1 phi-t
@@ -287,6 +288,28 @@ class TestValidation:
                 estimate_phi_t(identity1(), 0.5, bad, 0)
             with pytest.raises(ValueError):
                 estimate_phi_i(identity1(), bad, 0)
+
+    def test_rejects_samples_past_the_budget(self):
+        # refused before any draw: 2**30 + 1 samples would run for minutes
+        with pytest.raises(ValueError, match=r"samples must be at most 2\*\*30"):
+            estimate_phi_t(identity1(), 0.5, 2**30 + 1, 0)
+        with pytest.raises(ValueError, match=r"samples must be at most 2\*\*30"):
+            estimate_phi_i(identity1(), 2**30 + 1, 0)
+
+    def test_non_finite_weight_fails_as_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BATCH", 1024)
+        x0 = mc._normals(1, 0, 2 * 4096)[0::2]
+        first = int(np.flatnonzero(x0 > 3.0)[0])
+        assert first >= mc._BATCH  # so the batch offset counts
+
+        def F(x):
+            return np.where(x[:, 0] > 3.0, np.nan, x[:, 0])
+
+        with pytest.raises(
+            NonConvergenceError,
+            match=f"non-finite Monte Carlo weight nan at sample {first} ",
+        ):
+            estimate_phi_t(mc.Family("nan", 1, F, lambda y: y[:, 0]), 0.5, 4096, 1)
 
     def test_rejects_bad_seed(self):
         for bad in (-1, False, 2**64):

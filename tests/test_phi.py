@@ -349,6 +349,20 @@ class TestNonFiniteIntegrand:
                 route(RotationFamily(1e308))
         assert math.isfinite(route(RotationFamily(5e6)).value)
 
+    @pytest.mark.parametrize("route,eta,below", [
+        (phi_i_fourier, 5e306, 3.5e306),
+        (_phi_real_t_03, 1e307, 8e306),
+    ])
+    def test_overflowing_laplace_factor_fails_quietly(self, route, eta, below):
+        # (2k+1) eta is finite, but the Laplace factor, about 2 (2k+1) eta,
+        # is not; just below that band the sum still answers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="non-finite phase"):
+                route(RotationFamily(eta))
+            r = route(RotationFamily(below))
+        assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
+
     @pytest.mark.parametrize("route", [phi_i_fourier, _phi_real_t_03])
     def test_sample_budget(self, monkeypatch, route):
         # both need 2^5 or 2^6 samples at tol 1e-9
