@@ -43,33 +43,35 @@ def _fmt(x: float) -> str:
 
 
 def _json_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
+    # absent fields are omitted, so a None is a bug, not a JSON null
+    if v is None:
+        raise TypeError("cannot serialize None")
     if isinstance(v, float):
         return _fmt(v)
-    if isinstance(v, str):
-        return json.dumps(v)
     if isinstance(v, dict):
         inner = ", ".join(f"{json.dumps(k)}: {_json_value(x)}" for k, x in v.items())
         return "{" + inner + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    return json.dumps(v)
 
 
 def _text_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt(v)
+    if isinstance(v, str):
+        return v
     if isinstance(v, (list, tuple)):
         return ", ".join(_text_value(x) for x in v)
-    return str(v)
+    return _json_value(v)
 
 
-def _as_text(report: dict) -> str:
+def _report(command: str, payload: dict, fmt: str) -> str:
+    """The report of every command but sweep: its payload between the command
+    name and the version, as JSON or as one `key = value` line per field."""
+    if fmt == "csv":
+        raise ValueError("csv output is only available for the sweep command")
+    report = {"command": command, **payload, "version": __version__}
+    if fmt == "json":
+        return _json_value(report)
     lines = []
     for k, v in report.items():
         if isinstance(v, dict):
@@ -78,14 +80,6 @@ def _as_text(report: dict) -> str:
         else:
             lines.append(f"{k} = {_text_value(v)}")
     return "\n".join(lines)
-
-
-def _render_report(report: dict, fmt: str) -> str:
-    if fmt == "csv":
-        raise ValueError("csv output is only available for the sweep command")
-    if fmt == "json":
-        return _json_value(report)
-    return _as_text(report)
 
 
 def _resolve_format(flag: str | None) -> str:
@@ -103,7 +97,7 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, fmt: str):
     eta = _finite("eta", args.eta)
     report = verify_theorem(RotationFamily(eta), args.method, args.tol)
     payload = {
@@ -114,10 +108,10 @@ def _cmd_verify(args):
         "margin": report.margin,
         "pass": report.passed,
     }
-    return (0 if report.passed else 1), payload
+    return (0 if report.passed else 1), _report("verify", payload, fmt)
 
 
-def _cmd_sweep(args, fmt: str) -> str:
+def _cmd_sweep(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if lo > hi:
         raise ValueError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
@@ -125,23 +119,23 @@ def _cmd_sweep(args, fmt: str) -> str:
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]
         lines += [f"{_fmt(e)},{_fmt(v)},{_fmt(err)}" for e, v, err in scan.points]
-        return "\n".join(lines)
+        return 0, "\n".join(lines)
     if fmt == "json":
         rows = [
             {"eta": e, "value": v, "error_estimate": err}
             for e, v, err in scan.points
         ]
-        return _json_value(rows)
+        return 0, _json_value(rows)
     lines = [
         f"eta = {_fmt(e)}  value = {_fmt(v)}  error_estimate = {_fmt(err)}"
         for e, v, err in scan.points
     ]
     lines.append(f"best_eta = {_fmt(scan.best_eta)}")
     lines.append(f"best_value = {_fmt(scan.best_value)}")
-    return "\n".join(lines)
+    return 0, "\n".join(lines)
 
 
-def _cmd_series(args):
+def _cmd_series(args, fmt: str):
     eta = _finite("eta", args.eta)
     family = RotationFamily(eta)
     # first, so an eta too large for the series fails as non-convergence
@@ -163,25 +157,30 @@ def _cmd_series(args):
     # the bound 1/v exists only where Phi(i)/i is positive (eta below about 3)
     if vq.value > 0:
         payload["conditional_bound"] = conditional_bound(vq.value)
-    return 0, payload
+    return 0, _report("series", payload, fmt)
+
+
+# each mc family's constructor and the one flag it takes, eta or epsilon
+_FAMILIES = {
+    "identity1": (identity1, None),
+    "rotation3": (rotation3, "eta"),
+    "hermite5": (hermite5, "epsilon"),
+}
 
 
 def _mc_family(args):
-    if args.family == "identity1":
+    make, flag = _FAMILIES[args.family]
+    if flag is None:
         if args.eta is not None or args.epsilon is not None:
-            raise ValueError("identity1 takes no --eta or --epsilon")
-        return identity1(), {}
-    if args.family == "rotation3":
-        if args.eta is None:
-            raise ValueError("rotation3 requires --eta")
-        if args.epsilon is not None:
-            raise ValueError("rotation3 takes --eta, not --epsilon")
-        return rotation3(_finite("eta", args.eta)), {"eta": args.eta}
-    if args.epsilon is None:
-        raise ValueError("hermite5 requires --epsilon")
-    if args.eta is not None:
-        raise ValueError("hermite5 takes --epsilon, not --eta")
-    return hermite5(_finite("epsilon", args.epsilon)), {"epsilon": args.epsilon}
+            raise ValueError(f"{args.family} takes no --eta or --epsilon")
+        return make(), {}
+    other = "epsilon" if flag == "eta" else "eta"
+    if getattr(args, flag) is None:
+        raise ValueError(f"{args.family} requires --{flag}")
+    if getattr(args, other) is not None:
+        raise ValueError(f"{args.family} takes --{flag}, not --{other}")
+    value = _finite(flag, getattr(args, flag))
+    return make(value), {flag: value}
 
 
 def _mc_reference(args) -> float | None:
@@ -200,7 +199,7 @@ def _mc_reference(args) -> float | None:
     return phi_real_t(RotationFamily(args.eta), args.t).value
 
 
-def _cmd_mc(args):
+def _cmd_mc(args, fmt: str):
     family, params = _mc_family(args)
     inputs = {"family": args.family, **params, "target": args.target}
     if args.target == "phi-t":
@@ -232,10 +231,10 @@ def _cmd_mc(args):
         payload["reference"] = reference
         if est.stderr > 0:
             payload["z_score"] = (est.mean - reference) / est.stderr
-    return 0, payload
+    return 0, _report("mc", payload, fmt)
 
 
-def _cmd_optimize(args):
+def _cmd_optimize(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if not lo < hi:
         raise ValueError(f"need --lo < --hi, got [{lo}, {hi}]")
@@ -247,38 +246,24 @@ def _cmd_optimize(args):
         "error_estimate": res.error_estimate,
         "unimodal": res.unimodal,
     }
-    return 0, payload
+    return 0, _report("optimize", payload, fmt)
 
 
-# the commands whose report main wraps in the command name and the version;
-# sweep renders its own table
-_REPORTS = {
-    "verify": _cmd_verify,
-    "series": _cmd_series,
-    "mc": _cmd_mc,
-    "optimize": _cmd_optimize,
-}
+def _number(cast, valid, rule: str):
+    """An argparse type: `cast` the flag's value and require `valid` of it.
+    A value `cast` refuses reads "invalid <cast> value", as for type=float."""
+    def parse(raw: str):
+        value = cast(raw)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {raw}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
-    return value
-
-
-def _non_negative_int(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
-    return value
-
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
-    return value
+_POSITIVE_FLOAT = _number(float, lambda x: 0 < x < math.inf, "must be positive and finite")
+_NON_NEGATIVE_INT = _number(int, lambda n: n >= 0, "must be >= 0")
+_POSITIVE_INT = _number(int, lambda n: n >= 1, "must be >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--format", choices=_FORMATS, default=None,
                        help="output format (default: SIGNCORR_FORMAT or json)")
@@ -300,39 +286,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check Phi(i)/i clears the threshold")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--method", choices=METHODS, default="bessel")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
-    common(p)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("sweep", help="tabulate Phi(i)/i on an eta grid")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--steps", type=_non_negative_int, default=50)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
-    common(p)
+    p.add_argument("--steps", type=_NON_NEGATIVE_INT, default=50)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    common(p, _cmd_sweep)
 
     p = sub.add_parser("series", help="Taylor coefficients, reversion, alternation")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--order", type=_positive_int, default=11)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
-    common(p)
+    p.add_argument("--order", type=_POSITIVE_INT, default=11)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-10)
+    common(p, _cmd_series)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo estimate")
-    p.add_argument("--family", choices=("identity1", "rotation3", "hermite5"),
-                   required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--target", choices=("phi-i", "phi-t"), default="phi-i")
-    p.add_argument("--samples", type=_positive_int, default=10**6)
-    p.add_argument("--seed", type=_non_negative_int, required=True)
-    common(p)
+    p.add_argument("--samples", type=_POSITIVE_INT, default=10**6)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
+    common(p, _cmd_mc)
 
     p = sub.add_parser("optimize", help="maximize Phi(i)/i over eta")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--xtol", type=_positive_float, default=1e-4)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
-    common(p)
+    p.add_argument("--xtol", type=_POSITIVE_FLOAT, default=1e-4)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    common(p, _cmd_optimize)
 
     return parser
 
@@ -340,13 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        fmt = _resolve_format(args.format)
-        if args.command == "sweep":
-            code, text = 0, _cmd_sweep(args, fmt)
-        else:
-            code, payload = _REPORTS[args.command](args)
-            report = {"command": args.command, **payload, "version": __version__}
-            text = _render_report(report, fmt)
+        code, text = args.run(args, _resolve_format(args.format))
     except ValueError as exc:
         print(f"signcorr: error: {exc}", file=sys.stderr)
         return 2

@@ -203,10 +203,11 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
             )
         n *= 2
     eta = max(etas, key=abs)
-    # the Laplace factor is about -2i w_k, so 2 w_k must be finite too
+    # the Laplace factor is about -2i w_k, so 2 w_k (and w_k) must be finite
     if not math.isfinite(2.0 * (2 * k - 1) * eta):
         raise NonConvergenceError(
-            f"non-finite phase (2k+1) eta for some k < {k} at eta={eta!r}"
+            f"the Laplace factor, about 2 (2k+1) eta, overflows for some k < {k} "
+            f"at eta={eta!r}"
         )
 
     x = np.arange(n) * (2.0 * math.pi / n)

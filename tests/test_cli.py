@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from signcorr.cli import main
+from signcorr import __version__
+from signcorr.cli import _json_value, _report, main
 
 
 def run_cli(capsys, argv):
@@ -78,7 +79,10 @@ class TestVerifyCommand:
         assert got == code
         if code == 3:
             assert out == ""
-            assert err.startswith("signcorr: non-convergence: non-finite phase")
+            assert err.startswith(
+                "signcorr: non-convergence: the Laplace factor, about 2 (2k+1) eta, "
+                "overflows for some k < "
+            )
         else:
             report = json.loads(out)
             assert report["inputs"]["method"] == "fourier"
@@ -416,6 +420,15 @@ USAGE_ERRORS = [
     (["mc", "--family", "identity1", "--samples", "1000",
       "--seed", "18446744073709551616"],
      "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    # a malformed number names the type it should parse as, not a parser
+    (["mc", "--family", "identity1", "--samples", "1e6", "--seed", "1"],
+     "signcorr mc: error: argument --samples: invalid int value: '1e6'"),
+    (["mc", "--family", "identity1", "--seed", "x"],
+     "signcorr mc: error: argument --seed: invalid int value: 'x'"),
+    (["verify", "--eta", "0.228", "--tol", "abc"],
+     "signcorr verify: error: argument --tol: invalid float value: 'abc'"),
+    (["sweep", "--lo", "0", "--hi", "1", "--steps", "2.5"],
+     "signcorr sweep: error: argument --steps: invalid int value: '2.5'"),
 ]
 
 
@@ -516,6 +529,54 @@ def console_script_target(name):
         pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         return tomllib.load(fh)["project"]["scripts"][name]
+
+
+class TestRendering:
+    # every value kind a report holds: floats by .17g (-0.0 and subnormal
+    # magnitudes included), the other leaves as JSON writes them
+    PAYLOAD = {
+        "inputs": {"eta": 0.1, "method": "bessel", "order": 3},
+        "pass": True,
+        "alternating": False,
+        "value": -0.0,
+        "tiny": 1e-300,
+        "note": 'say "hi"',
+        "signs": ["+", "-", "+"],
+        "coefficients": [1.0, -0.5, 1e-300],
+    }
+
+    def test_json(self):
+        assert _report("verify", self.PAYLOAD, "json") == (
+            '{"command": "verify", "inputs": {"eta": 0.10000000000000001, '
+            '"method": "bessel", "order": 3}, "pass": true, "alternating": false, '
+            '"value": -0, "tiny": 1e-300, "note": "say \\"hi\\"", '
+            '"signs": ["+", "-", "+"], "coefficients": [1, -0.5, 1e-300], '
+            f'"version": "{__version__}"}}'
+        )
+
+    def test_text(self):
+        assert _report("verify", self.PAYLOAD, "text") == "\n".join([
+            "command = verify",
+            "inputs.eta = 0.10000000000000001",
+            "inputs.method = bessel",
+            "inputs.order = 3",
+            "pass = true",
+            "alternating = false",
+            "value = -0",
+            "tiny = 1e-300",
+            'note = say "hi"',
+            "signs = +, -, +",
+            "coefficients = 1, -0.5, 1e-300",
+            f"version = {__version__}",
+        ])
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_none_is_refused_not_written_as_null(self, fmt):
+        # an absent field is omitted from a report, never printed as null
+        with pytest.raises(TypeError):
+            _json_value(None)
+        with pytest.raises(TypeError):
+            _report("verify", {"inputs": {"eta": None}}, fmt)
 
 
 class TestSubprocessEntryPoints:

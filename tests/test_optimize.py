@@ -45,9 +45,10 @@ class TestGridScan:
                 assert err.hex() == direct.error_estimate.hex()
 
     def test_overflowing_phase_raises(self):
-        # the phase check runs against the grid's largest |eta|, before any
-        # sampling
-        with pytest.raises(NonConvergenceError, match="non-finite phase"):
+        # the overflow check runs against the grid's largest |eta|, before
+        # any sampling
+        overflow = r"^the Laplace factor, about 2 \(2k\+1\) eta, overflows"
+        with pytest.raises(NonConvergenceError, match=overflow):
             grid_scan(0.0, 1e307, 2)
 
     def test_no_quadrature_through_traced_name(self, monkeypatch):
