@@ -64,11 +64,15 @@ def _text_value(v) -> str:
     return _json_value(v)
 
 
+def _refuse_csv(fmt: str) -> None:
+    if fmt == "csv":
+        raise ValueError("csv output is only available for the sweep command")
+
+
 def _report(command: str, payload: dict, fmt: str) -> str:
     """The report of every command but sweep: its payload between the command
     name and the version, as JSON or as one `key = value` line per field."""
-    if fmt == "csv":
-        raise ValueError("csv output is only available for the sweep command")
+    _refuse_csv(fmt)
     report = {"command": command, **payload, "version": __version__}
     if fmt == "json":
         return _json_value(report)
@@ -210,8 +214,10 @@ def _cmd_mc(args, fmt: str):
         inputs["t"] = args.t
     elif args.t is not None:
         raise ValueError("--t is only meaningful with --target phi-t")
-    # before sampling, so a reference that fails to converge wastes no draws
+    # before sampling, so a reference that fails to converge (exit 3) or a csv
+    # request (exit 2) wastes no draws
     reference = _mc_reference(args)
+    _refuse_csv(fmt)
     # an overflowing F or G keeps its sign, and a NaN one (cos(inf) in
     # rotation3's angle) fails the estimate as non-convergence, so a numpy
     # warning would only repeat either; pool threads inherit this state

@@ -2,9 +2,10 @@
 until the bracket is within tolerance, with a unimodality check on the first.
 
 Every value comes from the Fourier-Laplace route. Its harmonic coefficients
-do not depend on eta, so each grid takes one FFT and a short closed-form sum
-per eta, and each value is the one phi_i_fourier gives at that eta, bit for
-bit.
+do not depend on eta, so each grid takes one FFT, and its closed-form sums
+run as array operations over blocks of up to 512 etas. Each row is summed by
+the same operations as a lone eta, so each value is the one phi_i_fourier
+gives at that eta, bit for bit.
 """
 
 from __future__ import annotations

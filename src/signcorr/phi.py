@@ -48,6 +48,9 @@ _ASINH_STRIP_BOUND = math.hypot(math.asinh(math.sqrt(2.0)), math.pi / 2.0)
 # the samples one harmonic sum may take: 2^20, the scale of the quadrature's
 # 10^6 evaluations
 _MAX_SAMPLES = 2**20
+# the etas one harmonic sum takes at once, so its arrays hold at most this
+# many rows of K terms, however many etas a grid has
+_ETA_BLOCK = 512
 
 # truncated domains: rho in [0, _CUTOFF] for the radial integrals, the square
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
@@ -173,8 +176,10 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     count K leaves a tail of at most tol/2, and n, a power of two, aliases at
     most tol/2; the error estimate adds both to a rounding bound. evaluations
     counts the n samples, at most _MAX_SAMPLES. None of K, n, the c_k or
-    their rounding depends on eta, so one FFT serves every eta, and each
-    eta's result is the one it gets alone, bit for bit.
+    their rounding depends on eta, so one FFT serves every eta. The etas are
+    summed _ETA_BLOCK at a time as rows of one array, each row by the same
+    operations as an eta alone, so each eta's result is the one it gets
+    alone, bit for bit, whatever the block size.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -228,13 +233,18 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     )
     harmonics = np.arange(1, 2 * k, 2)
     results = []
-    for eta in etas:  # one K-term sum each: memory does not grow with etas
-        w = harmonics * eta
+    # memory is bounded by one block. Each row keeps its eta's bits alone:
+    # fsum of the same terms, and a BLAS ddot per row by np.vecdot, as 1-D @
+    # takes; a pairwise sum(axis=1) or einsum would move the last bits
+    for b in range(0, len(etas), _ETA_BLOCK):
+        w = harmonics * np.array(etas[b : b + _ETA_BLOCK])[:, None]
         lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
-        value = math.fsum((c * (np.exp(-1j * w) * lap).real).tolist())
-        term_err = _EPS * float(np.abs(c * lap) @ (16.0 + 2.0 * np.abs(w)))
-        rounding = lmax * coef_err + term_err + _EPS * abs(value)
-        results.append(QuadResult(value, tail + alias + rounding, n))
+        terms = c * (np.exp(-1j * w) * lap).real
+        dots = np.vecdot(np.abs(c * lap), 16.0 + 2.0 * np.abs(w))
+        for row, dot in zip(terms.tolist(), dots.tolist()):
+            value = math.fsum(row)
+            rounding = lmax * coef_err + _EPS * dot + _EPS * abs(value)
+            results.append(QuadResult(value, tail + alias + rounding, n))
     return results
 
 

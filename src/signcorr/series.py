@@ -105,6 +105,13 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
         raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {K}")
 
     eps = family.epsilon
+    # Re[I_m((2q+1) eps)^2] for every pair the sums below take: m + 2j = k - 1
+    # with q <= j, so q <= (K - 1 - m)/2; 36 pairs at K = 15, each once
+    re_sq = {}
+    for m in range(0, K, 2):
+        for q in range((K - 1 - m) // 2 + 1):
+            z = _char_integral(m, (2 * q + 1) * eps)
+            re_sq[m, q] = (z * z).real
     coeffs = []
     for k in range(1, K + 1, 2):
         total = 0.0
@@ -112,8 +119,7 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
             m = k - 1 - 2 * j
             a = 0.0
             for q in range(j + 1):
-                z = _char_integral(m, (2 * q + 1) * eps)
-                a += math.comb(2 * j + 1, j - q) * (z * z).real
+                a += math.comb(2 * j + 1, j - q) * re_sq[m, q]
             a /= 4.0**j
             total += arcsin_coeff(j) * a / math.factorial(m)
         coeffs.append(2.0 / math.pi * total)

@@ -253,6 +253,37 @@ class TestMcCommand:
         assert out == ""
         assert "non-convergence" in err
 
+    @pytest.mark.parametrize("target", [[], ["--target", "phi-t", "--t", "0.3"]])
+    def test_csv_refused_before_sampling(self, capsys, monkeypatch, target):
+        def never(*args):
+            raise AssertionError("sampled although csv is refused")
+
+        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
+        monkeypatch.setattr("signcorr.cli.estimate_phi_t", never)
+        code, out, err = run_cli(capsys, [
+            "mc", "--family", "rotation3", "--eta", "0.228",
+            "--samples", "4000000", "--seed", "42", "--format", "csv", *target,
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "signcorr: error: csv output is only available for the sweep command\n"
+        )
+
+    def test_failed_reference_under_csv_still_exits_three(self, capsys, monkeypatch):
+        # the reference comes first, so a csv request does not mask its failure
+        def never(*args):
+            raise AssertionError("sampled although the reference failed")
+
+        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
+        code, out, err = run_cli(capsys, [
+            "mc", "--family", "rotation3", "--eta", "5e6",
+            "--samples", "2000000", "--seed", "1", "--format", "csv",
+        ])
+        assert code == 3
+        assert out == ""
+        assert "non-convergence" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["mc", "--family", "rotation3", "--eta", "0.228",
                 "--samples", "50000", "--seed", "42"]

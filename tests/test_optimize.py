@@ -16,7 +16,16 @@ from signcorr import (
     phi_i_fourier,
 )
 
+import fourier_loop
+
 ETA_STAR_REF = 0.227560943876
+
+# grids across the eta block boundary, with negative etas, 0.0 and 1e-300
+ORACLE_GRIDS = [(-20.0, 20.0, 1200), (-5.0, 5.0, 3000), (0.0, 1e-300, 1)]
+
+
+def _bits(scan):
+    return [(e, v.hex(), err.hex()) for e, v, err in scan.points]
 
 
 class TestGridScan:
@@ -43,6 +52,25 @@ class TestGridScan:
                 direct = phi_i_fourier(RotationFamily(eta), tol)
                 assert value.hex() == direct.value.hex()
                 assert err.hex() == direct.error_estimate.hex()
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-14])
+    def test_points_match_per_eta_loop(self, monkeypatch, tol):
+        # grid_scan and phi_i_fourier share the blocked sum, so only a frozen
+        # per-eta loop shows whether a grid's bits moved
+        blocked = [_bits(grid_scan(*grid, tol)) for grid in ORACLE_GRIDS]
+        monkeypatch.setattr(
+            signcorr.phi, "_fourier_laplace", fourier_loop.fourier_laplace
+        )
+        assert blocked == [_bits(grid_scan(*grid, tol)) for grid in ORACLE_GRIDS]
+        etas = {e for points in blocked for e, _, _ in points}
+        assert {0.0, 1e-300, -20.0} <= etas
+        assert len(blocked[0]) > signcorr.phi._ETA_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_bits_do_not_depend_on_eta_block(self, monkeypatch, block):
+        whole = _bits(grid_scan(-0.5, 0.5, 50))
+        monkeypatch.setattr(signcorr.phi, "_ETA_BLOCK", block)
+        assert _bits(grid_scan(-0.5, 0.5, 50)) == whole
 
     def test_overflowing_phase_raises(self):
         # the overflow check runs against the grid's largest |eta|, before

@@ -25,6 +25,7 @@ from signcorr import phi
 from signcorr.phi import _integrand_polar
 from signcorr.quad import _NODES, NonConvergenceError
 
+import fourier_loop
 import radial
 
 # Reference values computed with 40-digit interval arithmetic and frozen.
@@ -233,6 +234,19 @@ class TestPhiRealT:
         # |Phi(t)| <= (2/pi) arcsin |t| with equality only at eta = 0
         v = phi_real_t(RotationFamily(0.228), t).value
         assert abs(v) <= 2.0 / math.pi * math.asin(t) + 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-14])
+    def test_bits_match_per_eta_loop(self, monkeypatch, tol):
+        # the blocked sum gives a lone eta the bits of the frozen per-eta loop
+        etas = [-20.0, -1.3, 0.0, 1e-300, 0.228, 3.7, 20.0]
+        cases = [(e, t) for e in etas for t in (0.3, -0.7, 0.95)]
+        blocked = [phi_real_t(RotationFamily(e), t, tol) for e, t in cases]
+        monkeypatch.setattr(phi, "_fourier_laplace", fourier_loop.fourier_laplace)
+        for (e, t), r in zip(cases, blocked):
+            f = phi_real_t(RotationFamily(e), t, tol)
+            assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (
+                f.value.hex(), f.error_estimate.hex(), f.evaluations
+            )
 
     def test_rejects_t_at_or_beyond_one(self):
         fam = RotationFamily(0.228)
