@@ -4,32 +4,24 @@ Reports are machine readable (JSON by default, CSV for sweep, or plain text)
 and byte-identical across reruns with the same flags. Exit codes: 0 pass or
 success, 1 computed-but-failing verification, 2 usage error, 3 numerical
 non-convergence.
+
+Nothing here imports numpy at module level: each handler imports the modules
+it calls after the checks it makes itself, so argparse's refusals, --help,
+--version and those checks answer before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
-from .mc import estimate_phi_i, estimate_phi_t, hermite5, identity1, rotation3
-from .optimize import grid_scan, maximize_eta
-from .phi import (
-    METHODS,
-    THRESHOLD,
-    RotationFamily,
-    phi_i_bessel,
-    phi_real_t,
-    verify_theorem,
-)
-from .quad import NonConvergenceError
-from .series import alternation_check, conditional_bound, mehler_coefficients, revert_odd_series
+from ._common import METHODS, NonConvergenceError
 
 _FORMATS = ("json", "csv", "text")
 # argparse reads a token as a flag's negative value, not an option, only if it
@@ -103,6 +95,8 @@ def _finite(name: str, value: float) -> float:
 
 def _cmd_verify(args, fmt: str):
     eta = _finite("eta", args.eta)
+    from .phi import RotationFamily, verify_theorem
+
     report = verify_theorem(RotationFamily(eta), args.method, args.tol)
     payload = {
         "inputs": {"eta": eta, "method": args.method, "tol": args.tol},
@@ -119,6 +113,8 @@ def _cmd_sweep(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if lo > hi:
         raise ValueError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
+    from .optimize import grid_scan
+
     scan = grid_scan(lo, hi, args.steps, args.tol)
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]
@@ -141,6 +137,14 @@ def _cmd_sweep(args, fmt: str):
 
 def _cmd_series(args, fmt: str):
     eta = _finite("eta", args.eta)
+    from .phi import RotationFamily, phi_i_bessel
+    from .series import (
+        alternation_check,
+        conditional_bound,
+        mehler_coefficients,
+        revert_odd_series,
+    )
+
     family = RotationFamily(eta)
     # first, so an eta too large for the series fails as non-convergence
     vq = phi_i_bessel(family, args.tol)
@@ -164,27 +168,24 @@ def _cmd_series(args, fmt: str):
     return 0, _report("series", payload, fmt)
 
 
-# each mc family's constructor and the one flag it takes, eta or epsilon
-_FAMILIES = {
-    "identity1": (identity1, None),
-    "rotation3": (rotation3, "eta"),
-    "hermite5": (hermite5, "epsilon"),
-}
+# the one flag each mc family takes, eta or epsilon; each family's constructor
+# in mc bears its name
+_FAMILIES = {"identity1": None, "rotation3": "eta", "hermite5": "epsilon"}
 
 
-def _mc_family(args):
-    make, flag = _FAMILIES[args.family]
+def _mc_params(args) -> dict:
+    """The family's parameter as {flag: value}, checked before mc loads."""
+    flag = _FAMILIES[args.family]
     if flag is None:
         if args.eta is not None or args.epsilon is not None:
             raise ValueError(f"{args.family} takes no --eta or --epsilon")
-        return make(), {}
+        return {}
     other = "epsilon" if flag == "eta" else "eta"
     if getattr(args, flag) is None:
         raise ValueError(f"{args.family} requires --{flag}")
     if getattr(args, other) is not None:
         raise ValueError(f"{args.family} takes --{flag}, not --{other}")
-    value = _finite(flag, getattr(args, flag))
-    return make(value), {flag: value}
+    return {flag: _finite(flag, getattr(args, flag))}
 
 
 def _mc_reference(args) -> float | None:
@@ -192,6 +193,8 @@ def _mc_reference(args) -> float | None:
     there is none: hermite5, and rotation3 at |t| = 1, outside phi_real_t."""
     if args.family == "hermite5":
         return None
+    from .phi import THRESHOLD, RotationFamily, phi_i_bessel, phi_real_t
+
     if args.target == "phi-i":
         if args.family == "identity1":
             return THRESHOLD
@@ -204,7 +207,7 @@ def _mc_reference(args) -> float | None:
 
 
 def _cmd_mc(args, fmt: str):
-    family, params = _mc_family(args)
+    params = _mc_params(args)
     inputs = {"family": args.family, **params, "target": args.target}
     if args.target == "phi-t":
         if args.t is None:
@@ -214,6 +217,12 @@ def _cmd_mc(args, fmt: str):
         inputs["t"] = args.t
     elif args.t is not None:
         raise ValueError("--t is only meaningful with --target phi-t")
+    import numpy as np
+
+    # not `from . import mc`, which asks the package for `mc` and so loads
+    # every submodule
+    mc = importlib.import_module(".mc", __package__)
+    family = getattr(mc, args.family)(*params.values())
     # before sampling, so a reference that fails to converge (exit 3) or a csv
     # request (exit 2) wastes no draws
     reference = _mc_reference(args)
@@ -223,9 +232,9 @@ def _cmd_mc(args, fmt: str):
     # warning would only repeat either; pool threads inherit this state
     with np.errstate(over="ignore", invalid="ignore"):
         if args.target == "phi-t":
-            est = estimate_phi_t(family, args.t, args.samples, args.seed)
+            est = mc.estimate_phi_t(family, args.t, args.samples, args.seed)
         else:
-            est = estimate_phi_i(family, args.samples, args.seed)
+            est = mc.estimate_phi_i(family, args.samples, args.seed)
     payload = {
         "inputs": inputs,
         "value": est.mean,
@@ -244,6 +253,8 @@ def _cmd_optimize(args, fmt: str):
     lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
     if not lo < hi:
         raise ValueError(f"need --lo < --hi, got [{lo}, {hi}]")
+    from .optimize import maximize_eta
+
     res = maximize_eta(lo, hi, args.xtol, args.tol)
     payload = {
         "inputs": {"lo": lo, "hi": hi, "xtol": args.xtol, "tol": args.tol},

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import METHODS
 from .quad import _EPS, NonConvergenceError, QuadResult, integrate_1d, integrate_2d
 from .specfun import bessel_j0
 
@@ -305,13 +306,9 @@ def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResul
     return QuadResult(math.copysign(1.0, t) * r.value, r.error_estimate, r.evaluations)
 
 
-_ROUTES = {
-    "polar": phi_i_polar,
-    "cartesian": phi_i_cartesian,
-    "bessel": phi_i_bessel,
-    "fourier": phi_i_fourier,
-}
-METHODS = tuple(_ROUTES)
+_ROUTES = dict(
+    zip(METHODS, (phi_i_polar, phi_i_cartesian, phi_i_bessel, phi_i_fourier), strict=True)
+)
 
 
 def verify_theorem(

@@ -17,12 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._common import NonConvergenceError
+
 __all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised when adaptive subdivision exhausts its evaluation budget or the
-    integrand returns a non-finite value."""
 
 
 @dataclass(frozen=True)

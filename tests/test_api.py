@@ -28,11 +28,35 @@ def test_submodule_names_reexported(module):
 
 
 def test_import_loads_no_thread_pool():
-    # mc imports concurrent.futures, and with it logging, only when it samples
+    # mc imports concurrent.futures, and with it logging, only when it samples;
+    # a bare import loads no submodule, so no numpy either
     code = (
         "import sys, signcorr; "
-        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        "print(sorted({'concurrent.futures', 'logging', 'numpy'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_star_import_binds_each_submodule_name():
+    namespace = {}
+    exec("from signcorr import *", namespace)
+    names = set(namespace) - {"__builtins__"}
+    assert len(names) == len(signcorr.__all__) == 35
+    assert namespace["__version__"] == signcorr.__version__
+    for module in SUBMODULES:
+        mod = importlib.import_module(f"signcorr.{module}")
+        for name in mod.__all__:
+            assert namespace[name] is getattr(mod, name), f"{module}.{name}"
+
+
+def test_submodules_resolve_after_bare_import():
+    # tests patch through these attributes, as in signcorr.quad._BLOCK
+    code = (
+        "import sys, signcorr\n"
+        f"for m in {SUBMODULES}:\n"
+        "    assert getattr(signcorr, m) is sys.modules['signcorr.' + m], m\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -243,8 +243,8 @@ class TestMcCommand:
         def never(*args):
             raise AssertionError("sampled although the reference failed")
 
-        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
-        monkeypatch.setattr("signcorr.cli.estimate_phi_t", never)
+        monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
+        monkeypatch.setattr("signcorr.mc.estimate_phi_t", never)
         code, out, err = run_cli(capsys, [
             "mc", "--family", "rotation3", "--eta", "5e6",
             "--samples", "2000000", "--seed", "1", *target,
@@ -258,8 +258,8 @@ class TestMcCommand:
         def never(*args):
             raise AssertionError("sampled although csv is refused")
 
-        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
-        monkeypatch.setattr("signcorr.cli.estimate_phi_t", never)
+        monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
+        monkeypatch.setattr("signcorr.mc.estimate_phi_t", never)
         code, out, err = run_cli(capsys, [
             "mc", "--family", "rotation3", "--eta", "0.228",
             "--samples", "4000000", "--seed", "42", "--format", "csv", *target,
@@ -275,7 +275,7 @@ class TestMcCommand:
         def never(*args):
             raise AssertionError("sampled although the reference failed")
 
-        monkeypatch.setattr("signcorr.cli.estimate_phi_i", never)
+        monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
         code, out, err = run_cli(capsys, [
             "mc", "--family", "rotation3", "--eta", "5e6",
             "--samples", "2000000", "--seed", "1", "--format", "csv",
@@ -661,3 +661,72 @@ class TestSubprocessEntryPoints:
         )
         # 0.228 is not exactly representable; .17g exposes the stored double
         assert '"eta": 0.22800000000000001' in proc.stdout
+
+
+# a cold launch of `python -m signcorr`, which writes the names of the modules
+# it loaded to the file given as its first argument
+_LAUNCH = (
+    "import atexit, runpy, sys\n"
+    "out = sys.argv.pop(1)\n"
+    "atexit.register(lambda: open(out, 'w').write('\\n'.join(sys.modules)))\n"
+    "runpy.run_module('signcorr', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def launch(tmp_path, argv):
+    """(the finished process, the modules it loaded)"""
+    modules = tmp_path / "modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, str(modules), *argv],
+        capture_output=True, text=True,
+    )
+    return proc, set(modules.read_text().split())
+
+
+# (argv, environment, exit code, a line of what the launch prints)
+ANSWERED_WITHOUT_NUMPY = [
+    (["verify", "--eta", "nan"], {}, 2,
+     "signcorr: error: --eta must be finite, got nan"),
+    (["verify", "--eta", "abc"], {}, 2,
+     "signcorr verify: error: argument --eta: invalid float value: 'abc'"),
+    (["verify", "--method", "foo"], {}, 2,
+     "signcorr verify: error: argument --method: invalid choice: 'foo'"),
+    ([], {}, 2, "signcorr: error: the following arguments are required: command"),
+    (["--version"], {}, 0, __version__),
+    (["--help"], {}, 0,
+     "usage: signcorr [-h] [--version] {verify,sweep,series,mc,optimize} ..."),
+    (["verify", "--eta", "0.228"], {"SIGNCORR_FORMAT": "yaml"}, 2,
+     "signcorr: error: unknown output format 'yaml', expected one of "
+     "('json', 'csv', 'text')"),
+    (["mc", "--family", "rotation3", "--seed", "1"], {}, 2,
+     "signcorr: error: rotation3 requires --eta"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,env,expected,line", ANSWERED_WITHOUT_NUMPY,
+    ids=[" ".join(argv) or "no command" for argv, *_ in ANSWERED_WITHOUT_NUMPY],
+)
+def test_answered_before_numpy_loads(capsys, monkeypatch, tmp_path, argv, env,
+                                     expected, line):
+    # argparse wraps usage lines to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    proc, modules = launch(tmp_path, argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert proc.returncode == code == expected
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert line in (proc.stderr if expected else proc.stdout)
+    assert "numpy" not in modules
+
+
+def test_verify_loads_only_its_routes(tmp_path):
+    proc, modules = launch(tmp_path, ["verify", "--eta", "0.228"])
+    assert proc.returncode == 0, proc.stderr
+    assert {"signcorr.phi", "signcorr.quad", "signcorr.specfun"} <= modules
+    assert not {"signcorr.mc", "signcorr.series", "signcorr.optimize"} & modules
