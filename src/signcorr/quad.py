@@ -3,7 +3,10 @@
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
 in a few integrand calls, the way integrate_2d solves the inner integrals of
-each outer integrand call (up to 128 outer panels) at once. Each problem's
+each outer integrand call (up to _BLOCK outer panels) at once. In the first
+round every problem has the same panels, so the integrand gets the problems
+as a column against one row of shared abscissae, and a factor that depends
+on one argument alone is computed once per row or column. Each problem's
 accepted panels are summed by math.fsum, which is correctly rounded, so a
 result does not depend on the order in which its panels were accepted. One
 evaluation budget covers a whole solve, nested solves included.
@@ -91,6 +94,18 @@ class _Budget:
         self.spent += n
 
 
+def _check_finite(v: np.ndarray, x: np.ndarray, a: float, b: float) -> None:
+    """Raise NonConvergenceError naming the first non-finite value of v and
+    its abscissa: element i of v has abscissa x.flat[i % x.size], so x is
+    either v's points or the row they repeat."""
+    if not np.isfinite(v).all():
+        i = np.flatnonzero(~np.isfinite(v))[0]
+        raise NonConvergenceError(
+            f"non-finite integrand value {v.flat[i]} at {x.flat[i % x.size]} "
+            f"on [{a}, {b}]"
+        )
+
+
 def _lockstep(
     f: Callable,
     a: float,
@@ -103,9 +118,13 @@ def _lockstep(
     """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
     the same tolerance.
 
-    f(owner, x) receives flat arrays of problem indices and abscissae and
-    returns the matching values. Each round evaluates every live panel of
-    every problem, in integrand calls of at most _BLOCK panels, then takes
+    f(owner, x) receives problem indices and abscissae that broadcast
+    against each other and returns the values of their broadcast shape. The
+    first round of a multi-problem solve passes a column of problems and
+    the row of the shared panels' abscissae, and requires exactly that
+    shape back; later rounds pass flat arrays of equal size. Each round
+    evaluates every live panel of every problem, in integrand calls of at
+    most _BLOCK panels (or one problem's min_panels, if more), then takes
     its K15, G7 and |f| sums once over the whole round, so a panel's sums
     depend on its row's place in the round, not on _BLOCK; everything
     elementwise runs once per round. A panel is accepted or halved by its
@@ -124,6 +143,7 @@ def _lockstep(
     owner = np.repeat(np.arange(problems), min_panels)
     done: list[tuple[np.ndarray, ...]] = []
     nev = 0
+    shared = problems > 1  # in round one every problem has the same panels
 
     while lo.size:
         budget.spend(lo.size * _NODES.size, a, b, tol)
@@ -131,19 +151,32 @@ def _lockstep(
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
         fv = np.empty((lo.size, _NODES.size))
-        for s in range(0, lo.size, _BLOCK):
-            e = min(s + _BLOCK, lo.size)
-            x = mid[s:e, None] + hw[s:e, None] * _NODES
-            v = np.asarray(
-                f(np.repeat(owner[s:e], _NODES.size), x.ravel()), dtype=float
-            )
-            if not np.isfinite(v).all():
-                i = np.flatnonzero(~np.isfinite(v))[0]
-                raise NonConvergenceError(
-                    f"non-finite integrand value {v[i]} at {x.flat[i]} on [{a}, {b}]"
+        if shared:
+            # the problems go in as a column against the abscissae as a row
+            shared = False
+            row = (mid[:min_panels, None] + hw[:min_panels, None] * _NODES).ravel()
+            step = max(1, _BLOCK // min_panels)
+            for s in range(0, problems, step):
+                e = min(s + step, problems)
+                owners = np.arange(s, e)[:, None]
+                v = np.asarray(f(owners, row[None, :]), dtype=float)
+                if v.shape != (e - s, row.size):
+                    raise ValueError(
+                        f"integrand returned shape {v.shape} for points of "
+                        f"shape {(e - s, row.size)}"
+                    )
+                _check_finite(v, row, a, b)
+                fv.reshape(problems, row.size)[s:e] = v
+        else:
+            for s in range(0, lo.size, _BLOCK):
+                e = min(s + _BLOCK, lo.size)
+                x = mid[s:e, None] + hw[s:e, None] * _NODES
+                v = np.asarray(
+                    f(np.repeat(owner[s:e], _NODES.size), x.ravel()), dtype=float
                 )
-            # the exact shape, so a short result raises instead of broadcasting
-            fv[s:e] = v.reshape(e - s, _NODES.size)
+                _check_finite(v, x, a, b)
+                # the exact shape, so a short result raises instead of broadcasting
+                fv[s:e] = v.reshape(e - s, _NODES.size)
 
         ik = (fv @ _WK15) * hw
         ig = (fv @ _WG7) * hw
@@ -164,7 +197,7 @@ def _lockstep(
 
     own, val, err = (np.concatenate(c) for c in zip(*done))
     order = np.argsort(own, kind="stable")
-    cuts = np.searchsorted(own[order], np.arange(problems + 1))
+    cuts = np.searchsorted(own[order], np.arange(problems + 1)).tolist()
     val, err = val[order].tolist(), err[order].tolist()
     values = np.array([math.fsum(val[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
     errors = np.array([math.fsum(err[i:j]) for i, j in zip(cuts[:-1], cuts[1:])])
@@ -219,12 +252,15 @@ def integrate_2d(
     The outer (x) axis adapts over inner (y) integrals. Each outer
     integrand call solves the inner integrals at all of its nodes together,
     each starting from 8 panels so mildly oscillatory integrands cannot fool
-    a single coarse panel. f is called as f(x_array, y_array) with arrays of equal
-    shape and must evaluate elementwise. The error estimate combines the
-    outer estimate with the worst inner estimate spread over the x span;
-    evaluations counts integrand evaluations. max_evals bounds the whole
-    solve: integrand evaluations plus outer nodes. The round that would pass
-    it raises NonConvergenceError before it is evaluated.
+    a single coarse panel. f is called as f(x_array, y_array) with arrays
+    that broadcast against each other (a column of x against a row of y in
+    an inner solve's first round) and must evaluate elementwise; a result
+    that ignores an argument is broadcast back to the points. The error
+    estimate combines the outer estimate with the worst inner estimate
+    spread over the x span; evaluations counts integrand evaluations.
+    max_evals bounds the whole solve: integrand evaluations plus outer
+    nodes. The round that would pass it raises NonConvergenceError before
+    it is evaluated.
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
@@ -241,9 +277,15 @@ def integrate_2d(
 
     def outer_integrand(_owner: np.ndarray, xs: np.ndarray) -> np.ndarray:
         nonlocal worst_inner, inner_evals
+
+        def inner(owner: np.ndarray, ys: np.ndarray) -> np.ndarray:
+            # an f that ignores an argument returns a smaller shape
+            shape = np.broadcast(owner, ys).shape
+            v = f(xs[owner], ys)
+            return v if np.shape(v) == shape else np.broadcast_to(v, shape)
+
         values, errs, n = _lockstep(
-            lambda owner, ys: f(xs[owner], ys),
-            ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget,
+            inner, ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget
         )
         worst_inner = max(worst_inner, float(errs.max()))
         inner_evals += n

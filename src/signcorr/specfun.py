@@ -110,12 +110,16 @@ _QQ = (
     2.06209331660327847417e3,
     2.42005740240291393179e2,
 )
+# The four evaluated as one: coefficient k of each, highest power first, is the
+# (4, 1) column _HANKEL[k]. The 7-term ones lead with 0.0, which leaves their
+# values exact, as 0*q + c = c for finite q.
+_HANKEL = np.array([(0.0,) + _PP, (0.0,) + _PQ, _QP, _QQ]).T[:, :, None]
 _SQ2OPI = 7.9788456080286535588e-1
 _PIO4 = 7.85398163397448309616e-1
 
 
 def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
+    ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -141,8 +145,9 @@ def bessel_j0(x):
         xl = ax[large]
         w = 5.0 / xl
         q = w * w
-        p = _polevl(q, _PP) / _polevl(q, _PQ)
-        r = _polevl(q, _QP) / _polevl(q, _QQ)
+        pp, pq, qp, qq = _polevl(q, _HANKEL)
+        p = pp / pq
+        r = qp / qq
         xn = xl - _PIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * r * np.sin(xn)) / np.sqrt(xl)
 

@@ -22,6 +22,7 @@ from signcorr import (
     phi_i_polar,
 )
 from signcorr.quad import (
+    _BLOCK,
     _INNER_MIN_PANELS,
     _NODES,
     _WG7,
@@ -30,6 +31,7 @@ from signcorr.quad import (
     _lockstep,
 )
 
+import lockstep_loop
 import radial
 
 INV_SQRT2 = 0.7071067811865475244
@@ -96,8 +98,17 @@ class CountingIntegrand:
         self.points = 0
 
     def __call__(self, *args):
-        self.points += np.size(args[-1])
+        self.points += np.broadcast(*args).size
         return self.f(*args)
+
+
+def _outcome(route, family, tol):
+    """A route's value, estimate and count in exact form, or its refusal."""
+    try:
+        r = route(family, tol)
+    except NonConvergenceError as e:
+        return str(e)
+    return r.value.hex(), r.error_estimate.hex(), r.evaluations
 
 
 class TestIntegrate1d:
@@ -227,6 +238,23 @@ class TestIntegrate2d:
         assert r1.value == r2.value
         assert r1.error_estimate == r2.error_estimate
 
+    @pytest.mark.parametrize(
+        "f,truth",
+        [(lambda x, y: np.exp(-y), 2.0 * (1.0 - math.exp(-3.0))),
+         (lambda x, y: np.cos(x), 3.0 * math.sin(2.0))],
+        ids=["ignores_x", "ignores_y"],
+    )
+    def test_integrand_may_ignore_an_argument(self, f, truth):
+        # an inner solve's first round passes x as a column and y as a row,
+        # so such an f returns shape (1, 120) or (k, 1) there
+        counted = CountingIntegrand(f)
+        r = integrate_2d(counted, (0.0, 2.0), (0.0, 3.0), 1e-10)
+        both = integrate_2d(lambda x, y: f(x, y) + 0.0 * (x + y),
+                            (0.0, 2.0), (0.0, 3.0), 1e-10)
+        assert r.value == pytest.approx(truth, abs=1e-10)
+        assert (r.value, r.evaluations) == (both.value, both.evaluations)
+        assert r.evaluations == counted.points
+
     def test_rejects_inverted_ranges(self):
         with pytest.raises(ValueError):
             integrate_2d(lambda x, y: x + y, (1.0, 0.0), (0.0, 1.0), 1e-10)
@@ -333,6 +361,44 @@ class TestLockstep:
         assert got.error_estimate.hex() == ref.error_estimate.hex()
         assert got.evaluations == ref.evaluations
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 5.0])
+    @pytest.mark.parametrize("route", [phi_i_polar, phi_i_cartesian, phi_i_bessel])
+    def test_bits_match_per_panel_loop(self, monkeypatch, route, eta, tol):
+        # the shared first round gives every solve the bits of the frozen
+        # engine that built each panel's nodes apart; cartesian at eta 5,
+        # tol 1e-12 compares its refusal
+        fam = RotationFamily(eta)
+        got = _outcome(route, fam, tol)
+        monkeypatch.setattr(signcorr.quad, "_lockstep", lockstep_loop.lockstep)
+        assert got == _outcome(route, fam, tol)
+
+    def test_refusal_matches_per_panel_loop(self, monkeypatch):
+        fam = RotationFamily(20.0)
+        with pytest.raises(NonConvergenceError) as got:
+            phi_i_cartesian(fam)
+        monkeypatch.setattr(signcorr.quad, "_lockstep", lockstep_loop.lockstep)
+        with pytest.raises(NonConvergenceError) as frozen:
+            phi_i_cartesian(fam)
+        assert str(got.value) == str(frozen.value)
+
+    def test_round_one_evaluates_problems_against_a_shared_row(self):
+        # the problems come as a column, at most _BLOCK panels' worth per
+        # call, against one row of the 8 shared panels' abscissae; later
+        # rounds pass flat arrays
+        shapes = []
+
+        def f(owner, x):
+            shapes.append((owner.shape, x.shape))
+            return np.cos(30.0 * (1.0 + owner) * x)
+
+        per_call = _BLOCK // 8
+        _lockstep(f, 0.0, 10.0, 1e-12, per_call + 3, 8, _Budget(10**6))
+        row = 8 * _NODES.size
+        assert shapes[:2] == [((per_call, 1), (1, row)), ((3, 1), (1, row))]
+        assert len(shapes) > 2
+        assert all(len(o) == 1 and o == x for o, x in shapes[2:])
+
     def test_short_block_result_raises_instead_of_broadcasting(self, monkeypatch):
         # 15 values for a 2-panel block would fill both rows if broadcast
         monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
@@ -354,7 +420,7 @@ class TestLockstep:
         assert f.points == 3 * _NODES.size
 
     def test_budget_checked_before_each_round(self):
-        f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x))
+        f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x) + 0.0 * owner)
         budget = _Budget(400)
         with pytest.raises(NonConvergenceError, match="within 400 evaluations"):
             _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, budget)
