@@ -3,13 +3,14 @@
 A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
 in a few integrand calls, the way integrate_2d solves the inner integrals of
-each outer integrand call (up to _BLOCK outer panels) at once. In the first
-round every problem has the same panels, so the integrand gets the problems
-as a column against one row of shared abscissae, and a factor that depends
-on one argument alone is computed once per row or column. Each problem's
-accepted panels are summed by math.fsum, which is correctly rounded, so a
-result does not depend on the order in which its panels were accepted. One
-evaluation budget covers a whole solve, nested solves included.
+each outer integrand call (up to _BLOCK outer panels) at once. Every call
+passes the problems as a column against a block of abscissae: one shared
+row in the first round, when every problem has the same panels, and one row
+of nodes per panel after, so a factor of one argument alone is computed
+once per row or column. Each problem's accepted panels are summed by
+math.fsum, which is correctly rounded, so a result does not depend on the
+order in which its panels were accepted. One evaluation budget covers a
+whole solve, nested solves included.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
-# panels per integrand call, which bounds the integrand's temporaries
+# panels' worth of points (_BLOCK * 15) per integrand call in every round,
+# which bounds the integrand's temporaries
 _BLOCK = 128
 
 
@@ -94,18 +96,6 @@ class _Budget:
         self.spent += n
 
 
-def _check_finite(v: np.ndarray, x: np.ndarray, a: float, b: float) -> None:
-    """Raise NonConvergenceError naming the first non-finite value of v and
-    its abscissa: element i of v has abscissa x.flat[i % x.size], so x is
-    either v's points or the row they repeat."""
-    if not np.isfinite(v).all():
-        i = np.flatnonzero(~np.isfinite(v))[0]
-        raise NonConvergenceError(
-            f"non-finite integrand value {v.flat[i]} at {x.flat[i % x.size]} "
-            f"on [{a}, {b}]"
-        )
-
-
 def _lockstep(
     f: Callable,
     a: float,
@@ -118,22 +108,22 @@ def _lockstep(
     """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
     the same tolerance.
 
-    f(owner, x) receives problem indices and abscissae that broadcast
-    against each other and returns the values of their broadcast shape. The
-    first round of a multi-problem solve passes a column of problems and
-    the row of the shared panels' abscissae, and requires exactly that
-    shape back; later rounds pass flat arrays of equal size. Each round
-    evaluates every live panel of every problem, in integrand calls of at
-    most _BLOCK panels (or one problem's min_panels, if more), then takes
-    its K15, G7 and |f| sums once over the whole round, so a panel's sums
-    depend on its row's place in the round, not on _BLOCK; everything
-    elementwise runs once per round. A panel is accepted or halved by its
-    own K15-G7 gap, so a problem's panels do not depend on the others.
-    Returns each problem's value and error, each an fsum of its accepted
-    panels, which is correctly rounded in any order, and the total
+    Every integrand call is f(owners, x): a column of problem indices
+    against a block of abscissae, and f must return exactly the shape they
+    broadcast to, one row per owner. In the first round every problem has
+    the same panels, so the rows are problems and x is the one row of those
+    panels' abscissae; in later rounds the rows are panels and x holds each
+    panel's nodes, built block by block. A call covers at most _BLOCK
+    panels' worth of points (or one problem's min_panels, if more). Each
+    round then takes its K15, G7 and |f| sums once over the whole round, so
+    a panel's sums depend on its row's place in the round, not on _BLOCK;
+    everything elementwise runs once per round. A panel is accepted or
+    halved by its own K15-G7 gap, so a problem's panels do not depend on
+    the others. Returns each problem's value and error, each an fsum of its
+    accepted panels, which is correctly rounded in any order, and the total
     evaluations. The round that would overrun the budget raises
     NonConvergenceError before it is evaluated, and an integrand call that
-    returns a non-finite value raises it at once.
+    returns a non-finite value raises it at once, naming its abscissa.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
@@ -143,40 +133,40 @@ def _lockstep(
     owner = np.repeat(np.arange(problems), min_panels)
     done: list[tuple[np.ndarray, ...]] = []
     nev = 0
-    shared = problems > 1  # in round one every problem has the same panels
+    first = True  # in round one every problem has the same panels
 
     while lo.size:
         budget.spend(lo.size * _NODES.size, a, b, tol)
         nev += lo.size * _NODES.size
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
-        fv = np.empty((lo.size, _NODES.size))
-        if shared:
-            # the problems go in as a column against the abscissae as a row
-            shared = False
-            row = (mid[:min_panels, None] + hw[:min_panels, None] * _NODES).ravel()
-            step = max(1, _BLOCK // min_panels)
-            for s in range(0, problems, step):
-                e = min(s + step, problems)
-                owners = np.arange(s, e)[:, None]
-                v = np.asarray(f(owners, row[None, :]), dtype=float)
-                if v.shape != (e - s, row.size):
-                    raise ValueError(
-                        f"integrand returned shape {v.shape} for points of "
-                        f"shape {(e - s, row.size)}"
-                    )
-                _check_finite(v, row, a, b)
-                fv.reshape(problems, row.size)[s:e] = v
+        if first:
+            owners, width = np.arange(problems), min_panels * _NODES.size
+            row = mid[:min_panels, None] + hw[:min_panels, None] * _NODES
+            row = row.reshape(1, width)
         else:
-            for s in range(0, lo.size, _BLOCK):
-                e = min(s + _BLOCK, lo.size)
-                x = mid[s:e, None] + hw[s:e, None] * _NODES
-                v = np.asarray(
-                    f(np.repeat(owner[s:e], _NODES.size), x.ravel()), dtype=float
+            owners, width = owner, _NODES.size
+        step = max(1, _BLOCK * _NODES.size // width)
+        fv = np.empty((owners.size, width))
+        for s in range(0, owners.size, step):
+            e = min(s + step, owners.size)
+            x = row if first else mid[s:e, None] + hw[s:e, None] * _NODES
+            v = np.asarray(f(owners[s:e, None], x), dtype=float)
+            # the exact shape, so a short result raises instead of broadcasting
+            if v.shape != (e - s, width):
+                raise ValueError(
+                    f"integrand returned shape {v.shape} for points of "
+                    f"shape {(e - s, width)}"
                 )
-                _check_finite(v, x, a, b)
-                # the exact shape, so a short result raises instead of broadcasting
-                fv[s:e] = v.reshape(e - s, _NODES.size)
+            if not np.isfinite(v).all():
+                i, j = np.argwhere(~np.isfinite(v))[0]
+                raise NonConvergenceError(
+                    f"non-finite integrand value {v[i, j]} at "
+                    f"{np.broadcast_to(x, v.shape)[i, j]} on [{a}, {b}]"
+                )
+            fv[s:e] = v
+        first = False
+        fv = fv.reshape(lo.size, _NODES.size)
 
         ik = (fv @ _WK15) * hw
         ig = (fv @ _WG7) * hw
@@ -234,7 +224,8 @@ def integrate_1d(
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     value, err, nev = _lockstep(
-        lambda owner, x: f(x), float(a), float(b), tol, 1, 1, _Budget(max_evals)
+        lambda owner, x: np.reshape(f(x.ravel()), x.shape),
+        float(a), float(b), tol, 1, 1, _Budget(max_evals),
     )
     return QuadResult(float(value[0]), float(err[0]), nev)
 
@@ -253,14 +244,14 @@ def integrate_2d(
     integrand call solves the inner integrals at all of its nodes together,
     each starting from 8 panels so mildly oscillatory integrands cannot fool
     a single coarse panel. f is called as f(x_array, y_array) with arrays
-    that broadcast against each other (a column of x against a row of y in
-    an inner solve's first round) and must evaluate elementwise; a result
-    that ignores an argument is broadcast back to the points. The error
-    estimate combines the outer estimate with the worst inner estimate
-    spread over the x span; evaluations counts integrand evaluations.
-    max_evals bounds the whole solve: integrand evaluations plus outer
-    nodes. The round that would pass it raises NonConvergenceError before
-    it is evaluated.
+    that broadcast against each other (a column of x against the y nodes:
+    one shared row in an inner solve's first round, one row per panel
+    after) and must evaluate elementwise; a result that ignores an argument
+    is broadcast back to the points. The error estimate combines the outer
+    estimate with the worst inner estimate spread over the x span;
+    evaluations counts integrand evaluations. max_evals bounds the whole
+    solve: integrand evaluations plus outer nodes. The round that would
+    pass it raises NonConvergenceError before it is evaluated.
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
@@ -275,8 +266,9 @@ def integrate_2d(
     worst_inner = 0.0
     inner_evals = 0
 
-    def outer_integrand(_owner: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    def outer_integrand(_owner: np.ndarray, x: np.ndarray) -> np.ndarray:
         nonlocal worst_inner, inner_evals
+        xs = x.ravel()
 
         def inner(owner: np.ndarray, ys: np.ndarray) -> np.ndarray:
             # an f that ignores an argument returns a smaller shape
@@ -289,7 +281,7 @@ def integrate_2d(
         )
         worst_inner = max(worst_inner, float(errs.max()))
         inner_evals += n
-        return values
+        return values.reshape(x.shape)
 
     value, outer_err, _ = _lockstep(
         outer_integrand, xa, xb, tol / 2.0, 1, 1, budget

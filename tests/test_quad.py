@@ -187,6 +187,29 @@ class TestIntegrate1d:
             integrate_1d(f, 0.0, 1.0, 1e-9)
         assert f.points == _NODES.size
 
+    def test_non_finite_value_in_later_round_names_its_point(self):
+        # NaN past 0.999 is first met in round 4, in the last of its 8
+        # panels, so the message must name that panel's node
+        f = CountingIntegrand(lambda x: np.where(x > 0.999, np.nan, np.cos(50.0 * x)))
+        expected = "non-finite integrand value nan at 0.9994659606950508 on [0.0, 1.0]"
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
+            integrate_1d(f, 0.0, 1.0, 1e-12)
+        assert f.points == (1 + 2 + 4 + 8) * _NODES.size
+
+    def test_f_receives_flat_arrays(self):
+        # the engine passes a column against a block; integrate_1d's f still
+        # gets one 1-D array of abscissae per round
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.cos(50.0 * x)
+
+        r = integrate_1d(f, 0.0, 10.0, 1e-12)
+        assert len(shapes) > 1
+        assert all(len(shape) == 1 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == r.evaluations
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 1.0, 0.0, 1e-10)
@@ -383,9 +406,9 @@ class TestLockstep:
         assert str(got.value) == str(frozen.value)
 
     def test_round_one_evaluates_problems_against_a_shared_row(self):
-        # the problems come as a column, at most _BLOCK panels' worth per
-        # call, against one row of the 8 shared panels' abscissae; later
-        # rounds pass flat arrays
+        # every call passes a column of owners, at most _BLOCK panels' worth
+        # of points: in round one the problems against one row of the 8
+        # shared panels' abscissae, later one row of nodes per panel
         shapes = []
 
         def f(owner, x):
@@ -396,8 +419,13 @@ class TestLockstep:
         _lockstep(f, 0.0, 10.0, 1e-12, per_call + 3, 8, _Budget(10**6))
         row = 8 * _NODES.size
         assert shapes[:2] == [((per_call, 1), (1, row)), ((3, 1), (1, row))]
-        assert len(shapes) > 2
-        assert all(len(o) == 1 and o == x for o, x in shapes[2:])
+        later = shapes[2:]
+        assert later
+        for own, pts in later:
+            k = pts[0]
+            assert own == (k, 1) and pts == (k, _NODES.size) and k <= _BLOCK
+        # a round of more than _BLOCK panels is split into full blocks
+        assert any(pts[0] == _BLOCK for _, pts in later)
 
     def test_short_block_result_raises_instead_of_broadcasting(self, monkeypatch):
         # 15 values for a 2-panel block would fill both rows if broadcast
@@ -405,6 +433,20 @@ class TestLockstep:
         with pytest.raises(ValueError):
             _lockstep(lambda owner, x: np.ones(_NODES.size), 0.0, 1.0, 1e-9,
                       3, 1, _Budget(10**6))
+
+    def test_short_result_after_round_one_raises(self):
+        # later rounds pass (k, 15) nodes; one panel's 15 values would fill
+        # every row if broadcast
+        calls = []
+
+        def f(owner, x):
+            calls.append(x.shape)
+            v = np.cos(50.0 * x) + 0.0 * owner
+            return v if len(calls) == 1 else v[0]
+
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, _Budget(10**6))
+        assert calls == [(1, _NODES.size), (6, _NODES.size)]
 
     def test_non_finite_value_in_later_block_names_its_point(self, monkeypatch):
         # three problems on [0, 1], one panel each: blocks {0, 1} and {2};
