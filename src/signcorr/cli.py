@@ -217,8 +217,6 @@ def _cmd_mc(args, fmt: str):
         inputs["t"] = args.t
     elif args.t is not None:
         raise ValueError("--t is only meaningful with --target phi-t")
-    import numpy as np
-
     # not `from . import mc`, which asks the package for `mc` and so loads
     # every submodule
     mc = importlib.import_module(".mc", __package__)
@@ -227,14 +225,10 @@ def _cmd_mc(args, fmt: str):
     # request (exit 2) wastes no draws
     reference = _mc_reference(args)
     _refuse_csv(fmt)
-    # an overflowing F or G keeps its sign, and a NaN one (cos(inf) in
-    # rotation3's angle) fails the estimate as non-convergence, so a numpy
-    # warning would only repeat either; pool threads inherit this state
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.target == "phi-t":
-            est = mc.estimate_phi_t(family, args.t, args.samples, args.seed)
-        else:
-            est = mc.estimate_phi_i(family, args.samples, args.seed)
+    if args.target == "phi-t":
+        est = mc.estimate_phi_t(family, args.t, args.samples, args.seed)
+    else:
+        est = mc.estimate_phi_i(family, args.samples, args.seed)
     payload = {
         "inputs": inputs,
         "value": est.mean,

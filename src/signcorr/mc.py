@@ -6,12 +6,13 @@ Box-Muller normal transform, so any (family, samples, seed) triple yields a
 bit-identical estimate on every platform and run, independent of batching and
 of how many threads weight a batch's blocks. Blocks run concurrently on the
 CPUs the process may use, so a family's F and G must be safe to call at the
-same time on disjoint blocks.
+same time on disjoint blocks. Every thread runs them with numpy's overflow
+and invalid-value warnings off, whatever the caller's np.errstate: an
+overflowing value keeps its sign, and a NaN weight fails the estimate.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 from dataclasses import dataclass, field
@@ -60,6 +61,10 @@ class Family:
     n: int
     F: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     G: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not _is_count(self.n) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,7 @@ def _normals(seed: int, start: int, count: int) -> np.ndarray:
     start .. start+count-1 of the stream: SplitMix64 raw words, uniforms in
     (0, 1], then the Box-Muller cosine/sine pair."""
     idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        raw = _mix64(_U64(seed) + (idx + _U64(1)) * _GOLDEN)
+    raw = _mix64(_U64(seed) + (idx + _U64(1)) * _GOLDEN)
     u = ((raw >> _U64(11)).astype(np.float64) + 1.0) * _INV_2_53
     u = u.reshape(-1, 2)
     r = np.sqrt(-2.0 * np.log(u[:, 0]))
@@ -141,8 +145,7 @@ def _accumulate(
 ) -> McEstimate:
     """Stream batches of 2n normals per sample through `weights`, in blocks
     of about _BLOCK normals dealt round-robin into one stripe per available
-    CPU. The caller weights the first stripe and a thread pool the others,
-    each in a copy of the caller's context, so its np.errstate applies there.
+    CPU. The caller weights the first stripe and a thread pool the others.
     The stream is counter-indexed, the weights act row by row and each block
     writes only its own rows, so neither blocking nor the thread count changes
     a bit; the fixed batch size and per-batch numpy sums keep the reduction
@@ -160,14 +163,15 @@ def _accumulate(
     stride = 2 * family.n
     step = max(1, _BLOCK // stride)  # samples per block
     workers = min(_worker_count(), -(-min(samples, _BATCH) // step))
-    ctx = contextvars.copy_context()
 
     def fill(w: np.ndarray, lo: int, stripe: range) -> None:
-        for c0 in stripe:
-            c1 = min(c0 + step, len(w))
-            first, count = (lo + c0) * stride, (c1 - c0) * stride
-            # unnamed, a block's normals are freed before the next block draws
-            w[c0:c1] = weights(_normals(seed, first, count).reshape(-1, stride))
+        # a numpy warning would only repeat a kept sign or a failed batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0 in stripe:
+                c1 = min(c0 + step, len(w))
+                first, count = (lo + c0) * stride, (c1 - c0) * stride
+                # unnamed, a block's normals are freed before the next block draws
+                w[c0:c1] = weights(_normals(seed, first, count).reshape(-1, stride))
 
     sums: list[float] = []
     sqsums: list[float] = []
@@ -177,7 +181,7 @@ def _accumulate(
         for lo in range(0, samples, _BATCH):
             w = np.empty(min(_BATCH, samples - lo))
             stripes = [range(k * step, len(w), workers * step) for k in range(workers)]
-            others = [pool.submit(ctx.copy().run, fill, w, lo, s) for s in stripes[1:]]
+            others = [pool.submit(fill, w, lo, s) for s in stripes[1:]]
             fill(w, lo, stripes[0])
             for f in others:
                 f.result()  # an error leaves the `with` once the pool has joined

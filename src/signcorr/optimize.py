@@ -55,9 +55,9 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     """Evaluate Phi(i)/i at steps+1 equispaced eta values on [lo, hi].
 
     All etas share one set of Fourier-Laplace coefficients, and every value
-    and error estimate equals phi_i_fourier's at that eta. steps = 0 (or
-    lo = hi) collapses to a single evaluation; a grid of more than 2^20 etas
-    raises ValueError. Ties on the maximum go to the smallest eta.
+    and error estimate equals phi_i_fourier's at that eta. steps = 0 gives
+    one point, and lo = hi gives steps+1 points all at lo; a grid of more
+    than 2^20 etas raises ValueError. Ties on the maximum go to the smallest eta.
     """
     # a finite width keeps np.linspace from overflowing to nan etas
     if not (lo <= hi and math.isfinite(hi - lo)):

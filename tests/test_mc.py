@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             hermite5(-0.1)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
+    def test_rejects_bad_dimension(self, n):
+        first = lambda x: x[:, 0]
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            mc.Family("bad", n, first, first)
+
 
 class TestDeterminism:
     def test_same_seed_same_bits(self):
@@ -88,6 +95,24 @@ class TestDeterminism:
         assert a.mean == b.mean
         assert a.samples == n
         assert (a.mean, a.stderr) == FROZEN_ACROSS_BATCHES
+
+    def test_stream_wraps_around_without_warning(self):
+        # seed + counter * golden ratio and the mixing products wrap modulo
+        # 2**64, as SplitMix64 specifies, and numpy warns of no integer array
+        # overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = mc._normals(2**64 - 1, 2**62, 8)
+        assert [float(v).hex() for v in z] == [
+            "0x1.812428a2ddf62p+0",
+            "0x1.40747e8d40fcbp-1",
+            "-0x1.f140b648ed0f3p-3",
+            "0x1.c1a03fb2d10ebp-4",
+            "0x1.265e2fdc68c75p-1",
+            "-0x1.1f98d9391a074p-1",
+            "0x1.879e08c3e7232p-1",
+            "0x1.34e0df66ac229p-3",
+        ]
 
     def test_readme_command_frozen(self):
         # the stream, the weights and the reduction order all show in these bits
@@ -206,21 +231,37 @@ class TestThreads:
         assert next(calls) < 40  # F and G once per block: the failing stripe stopped
         assert threading.active_count() == baseline
 
-    def test_caller_errstate_applies_on_helpers(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_overflowing_family_warns_on_no_thread(self, workers, monkeypatch):
+        # the estimators set their own error state on every thread that runs
+        # F and G; the suite's `filterwarnings = error` turns any warning into
+        # an exception, on a pool thread too
+        monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+        overflow = lambda x: x[:, 0] * 1e308 * 10.0  # inf for |x| > 0.18
+        samples = 8 * (mc._BLOCK // 2)
+        fam = mc.Family("overflow", 1, overflow, overflow)
+        est = estimate_phi_t(fam, 0.5, samples, 0)
+        # an infinite value keeps its sign, so the weights are identity1's
+        ref = estimate_phi_t(identity1(), 0.5, samples, 0)
+        assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+
+    def test_nan_on_a_pool_thread_fails_as_non_convergence(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
-        caller, helper_ran = threading.current_thread(), threading.Event()
+        step = mc._BLOCK // 2  # samples per block at n = 1
+        hits = np.flatnonzero(mc._normals(0, 0, 2 * 4 * step)[0::2] > 3.0)
+        first = int(hits[hits // step % 2 == 1][0])  # odd blocks go to the pool
+        caller = threading.current_thread()
 
         def F(x):
             if threading.current_thread() is caller:
-                helper_ran.wait(timeout=60)  # let a pool thread weight a block first
                 return x[:, 0]
-            helper_ran.set()
-            return x[:, 0] * 1e308 * 10.0  # overflows for |x| > 0.18
+            return np.sin(np.where(x[:, 0] > 3.0, np.inf, x[:, 0]))  # sin(inf) is nan
 
-        fam = mc.Family("overflow", 1, F, F)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            estimate_phi_t(fam, 0.5, 4 * (mc._BLOCK // 2), 0)
-        assert helper_ran.is_set()
+        with pytest.raises(
+            NonConvergenceError,
+            match=f"non-finite Monte Carlo weight nan at sample {first} ",
+        ):
+            estimate_phi_t(mc.Family("nan", 1, F, lambda y: y[:, 0]), 0.5, 4 * step, 0)
 
     def test_working_memory_bounded_at_8_workers(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 8)
