@@ -5,9 +5,9 @@ and byte-identical across reruns with the same flags. Exit codes: 0 pass or
 success, 1 computed-but-failing verification, 2 usage error, 3 numerical
 non-convergence.
 
-Nothing here imports numpy at module level: each handler imports the modules
-it calls after the checks it makes itself, so argparse's refusals, --help,
---version and those checks answer before numpy loads.
+Nothing here imports numpy at module level: each handler checks its flags by
+the library's own rules in _common, then imports what it calls, so every
+refusal, --help and --version answer before numpy loads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import re
 import sys
 
 from . import __version__
-from ._common import METHODS, NonConvergenceError
+from ._common import (
+    METHODS, NonConvergenceError, check_bracket, check_draws, check_finite,
+    check_grid, check_non_negative, check_order, check_t, check_tol,
+)
 
 _FORMATS = ("json", "csv", "text")
 # argparse reads a token as a flag's negative value, not an option, only if it
@@ -64,7 +67,6 @@ def _refuse_csv(fmt: str) -> None:
 def _report(command: str, payload: dict, fmt: str) -> str:
     """The report of every command but sweep: its payload between the command
     name and the version, as JSON or as one `key = value` line per field."""
-    _refuse_csv(fmt)
     report = {"command": command, **payload, "version": __version__}
     if fmt == "json":
         return _json_value(report)
@@ -87,19 +89,15 @@ def _resolve_format(flag: str | None) -> str:
     return fmt
 
 
-def _finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"--{name} must be finite, got {value}")
-    return value
-
-
 def _cmd_verify(args, fmt: str):
-    eta = _finite("eta", args.eta)
+    _refuse_csv(fmt)
+    check_finite("eta", args.eta)
+    check_tol("tol", args.tol)
     from .phi import RotationFamily, verify_theorem
 
-    report = verify_theorem(RotationFamily(eta), args.method, args.tol)
+    report = verify_theorem(RotationFamily(args.eta), args.method, args.tol)
     payload = {
-        "inputs": {"eta": eta, "method": args.method, "tol": args.tol},
+        "inputs": {"eta": args.eta, "method": args.method, "tol": args.tol},
         "value": report.phi_i_value,
         "error_estimate": report.error_estimate,
         "threshold": report.threshold,
@@ -110,12 +108,11 @@ def _cmd_verify(args, fmt: str):
 
 
 def _cmd_sweep(args, fmt: str):
-    lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
-    if lo > hi:
-        raise ValueError(f"--lo must not exceed --hi, got [{lo}, {hi}]")
+    check_grid(args.lo, args.hi, args.steps)
+    check_tol("tol", args.tol)
     from .optimize import grid_scan
 
-    scan = grid_scan(lo, hi, args.steps, args.tol)
+    scan = grid_scan(args.lo, args.hi, args.steps, args.tol)
     if fmt == "csv":
         lines = ["eta,value,error_estimate"]
         lines += [f"{_fmt(e)},{_fmt(v)},{_fmt(err)}" for e, v, err in scan.points]
@@ -136,7 +133,10 @@ def _cmd_sweep(args, fmt: str):
 
 
 def _cmd_series(args, fmt: str):
-    eta = _finite("eta", args.eta)
+    _refuse_csv(fmt)
+    check_finite("eta", args.eta)
+    check_tol("tol", args.tol)
+    check_order(args.order)
     from .phi import RotationFamily, phi_i_bessel
     from .series import (
         alternation_check,
@@ -145,14 +145,14 @@ def _cmd_series(args, fmt: str):
         revert_odd_series,
     )
 
-    family = RotationFamily(eta)
+    family = RotationFamily(args.eta)
     # first, so an eta too large for the series fails as non-convergence
     vq = phi_i_bessel(family, args.tol)
     direct = mehler_coefficients(family, args.order)
     inverse = revert_odd_series(direct)
     verdict = alternation_check(inverse)
     payload = {
-        "inputs": {"eta": eta, "order": args.order, "tol": args.tol},
+        "inputs": {"eta": args.eta, "order": args.order, "tol": args.tol},
         "value": vq.value,
         "error_estimate": vq.error_estimate,
         "direct_coefficients": list(direct.coeffs),
@@ -168,14 +168,14 @@ def _cmd_series(args, fmt: str):
     return 0, _report("series", payload, fmt)
 
 
-# the one flag each mc family takes, eta or epsilon; each family's constructor
-# in mc bears its name
-_FAMILIES = {"identity1": None, "rotation3": "eta", "hermite5": "epsilon"}
+# each mc family's one flag, and the rule its constructor of the same name applies
+_FAMILIES = {"identity1": (None, None), "rotation3": ("eta", check_finite),
+             "hermite5": ("epsilon", check_non_negative)}
 
 
 def _mc_params(args) -> dict:
     """The family's parameter as {flag: value}, checked before mc loads."""
-    flag = _FAMILIES[args.family]
+    flag, rule = _FAMILIES[args.family]
     if flag is None:
         if args.eta is not None or args.epsilon is not None:
             raise ValueError(f"{args.family} takes no --eta or --epsilon")
@@ -185,7 +185,8 @@ def _mc_params(args) -> dict:
         raise ValueError(f"{args.family} requires --{flag}")
     if getattr(args, other) is not None:
         raise ValueError(f"{args.family} takes --{flag}, not --{other}")
-    return {flag: _finite(flag, getattr(args, flag))}
+    rule(flag, getattr(args, flag))
+    return {flag: getattr(args, flag)}
 
 
 def _mc_reference(args) -> float | None:
@@ -212,11 +213,11 @@ def _cmd_mc(args, fmt: str):
     if args.target == "phi-t":
         if args.t is None:
             raise ValueError("--target phi-t requires --t")
-        if not abs(args.t) <= 1:
-            raise ValueError(f"--t must satisfy |t| <= 1, got {args.t}")
+        check_t(args.t)
         inputs["t"] = args.t
     elif args.t is not None:
         raise ValueError("--t is only meaningful with --target phi-t")
+    check_draws(args.samples, args.seed)
     # not `from . import mc`, which asks the package for `mc` and so loads
     # every submodule
     mc = importlib.import_module(".mc", __package__)
@@ -244,37 +245,21 @@ def _cmd_mc(args, fmt: str):
 
 
 def _cmd_optimize(args, fmt: str):
-    lo, hi = _finite("lo", args.lo), _finite("hi", args.hi)
-    if not lo < hi:
-        raise ValueError(f"need --lo < --hi, got [{lo}, {hi}]")
+    _refuse_csv(fmt)
+    check_bracket(args.lo, args.hi, "<")
+    check_tol("xtol", args.xtol)
+    check_tol("tol", args.tol)
     from .optimize import maximize_eta
 
-    res = maximize_eta(lo, hi, args.xtol, args.tol)
+    res = maximize_eta(args.lo, args.hi, args.xtol, args.tol)
     payload = {
-        "inputs": {"lo": lo, "hi": hi, "xtol": args.xtol, "tol": args.tol},
+        "inputs": {"lo": args.lo, "hi": args.hi, "xtol": args.xtol, "tol": args.tol},
         "eta_star": res.eta_star,
         "value": res.value_star,
         "error_estimate": res.error_estimate,
         "unimodal": res.unimodal,
     }
     return 0, _report("optimize", payload, fmt)
-
-
-def _number(cast, valid, rule: str):
-    """An argparse type: `cast` the flag's value and require `valid` of it.
-    A value `cast` refuses reads "invalid <cast> value", as for type=float."""
-    def parse(raw: str):
-        value = cast(raw)
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"{rule}, got {raw}")
-        return value
-    parse.__name__ = cast.__name__
-    return parse
-
-
-_POSITIVE_FLOAT = _number(float, lambda x: 0 < x < math.inf, "must be positive and finite")
-_NON_NEGATIVE_INT = _number(int, lambda n: n >= 0, "must be >= 0")
-_POSITIVE_INT = _number(int, lambda n: n >= 1, "must be >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,20 +282,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check Phi(i)/i clears the threshold")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--method", choices=METHODS, default="bessel")
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
     common(p, _cmd_verify)
 
     p = sub.add_parser("sweep", help="tabulate Phi(i)/i on an eta grid")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--steps", type=_NON_NEGATIVE_INT, default=50)
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--tol", type=float, default=1e-9)
     common(p, _cmd_sweep)
 
     p = sub.add_parser("series", help="Taylor coefficients, reversion, alternation")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--order", type=_POSITIVE_INT, default=11)
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-10)
+    p.add_argument("--order", type=int, default=11)
+    p.add_argument("--tol", type=float, default=1e-10)
     common(p, _cmd_series)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo estimate")
@@ -319,15 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--target", choices=("phi-i", "phi-t"), default="phi-i")
-    p.add_argument("--samples", type=_POSITIVE_INT, default=10**6)
-    p.add_argument("--seed", type=_NON_NEGATIVE_INT, required=True)
+    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--seed", type=int, required=True)
     common(p, _cmd_mc)
 
     p = sub.add_parser("optimize", help="maximize Phi(i)/i over eta")
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--xtol", type=_POSITIVE_FLOAT, default=1e-4)
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-9)
+    p.add_argument("--xtol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=1e-9)
     common(p, _cmd_optimize)
 
     return parser

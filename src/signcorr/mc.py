@@ -6,9 +6,9 @@ Box-Muller normal transform, so any (family, samples, seed) triple yields a
 bit-identical estimate on every platform and run, independent of batching and
 of how many threads weight a batch's blocks. Blocks run concurrently on the
 CPUs the process may use, so a family's F and G must be safe to call at the
-same time on disjoint blocks. Every thread runs them with numpy's overflow
-and invalid-value warnings off, whatever the caller's np.errstate: an
-overflowing value keeps its sign, and a NaN weight fails the estimate.
+same time on disjoint blocks. Every thread runs them with all numpy warnings
+off, whatever the caller's np.errstate: a value that overflows or divides by
+zero keeps its sign, and a NaN weight fails the estimate.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
+from ._common import check_draws, check_non_negative, check_t, is_count
 from .phi import RotationFamily
 from .quad import NonConvergenceError
-from .specfun import _is_count, hermite_prob
+from .specfun import hermite_prob
 
 __all__ = [
     "Family",
@@ -40,8 +41,6 @@ _GOLDEN = _U64(0x9E3779B97F4A7C15)
 _MULT1 = _U64(0xBF58476D1CE4E5B9)
 _MULT2 = _U64(0x94D049BB133111EB)
 _BATCH = 1 << 20
-# the samples one estimate may take: 1024 batches, minutes on two CPUs
-_MAX_SAMPLES = 1 << 30
 # normals drawn and weighted at a time: 256 KB of float64, so a block's
 # temporaries stay in cache instead of streaming batch-sized arrays
 _BLOCK = 1 << 15
@@ -63,7 +62,7 @@ class Family:
     G: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not _is_count(self.n) or self.n < 1:
+        if not is_count(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
 
@@ -101,8 +100,7 @@ def rotation3(eta: float) -> Family:
 
 def hermite5(epsilon: float) -> Family:
     """n = 2, F = G = x0 + epsilon He_5(x1)."""
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_non_negative("epsilon", epsilon)
 
     def F(x):
         return x[:, 0] + epsilon * hermite_prob(5, x[:, 1])
@@ -151,12 +149,7 @@ def _accumulate(
     a bit; the fixed batch size and per-batch numpy sums keep the reduction
     bit-stable. A batch whose sums are not finite raises NonConvergenceError
     naming its first non-finite weight."""
-    if not _is_count(samples) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples must be at most 2**30, got {samples}")
-    if not _is_count(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    check_draws(samples, seed)
     # deferred: concurrent.futures imports logging, a cost `import signcorr` skips
     from concurrent.futures import ThreadPoolExecutor
 
@@ -165,8 +158,7 @@ def _accumulate(
     workers = min(_worker_count(), -(-min(samples, _BATCH) // step))
 
     def fill(w: np.ndarray, lo: int, stripe: range) -> None:
-        # a numpy warning would only repeat a kept sign or a failed batch
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             for c0 in stripe:
                 c1 = min(c0 + step, len(w))
                 first, count = (lo + c0) * stride, (c1 - c0) * stride
@@ -208,8 +200,7 @@ def _accumulate(
 def estimate_phi_t(family: Family, t: float, samples: int, seed: int) -> McEstimate:
     """Estimate Phi(t) = E[sign(F(X)) sign(G(Y))] with per-coordinate
     correlation E[X_i Y_i] = t via Y = t X + sqrt(1-t^2) Z."""
-    if not abs(t) <= 1:
-        raise ValueError(f"need |t| <= 1, got t={t}")
+    check_t(t)
     n = family.n
     comp = math.sqrt(1.0 - t * t)
 

@@ -10,13 +10,12 @@ gives at that eta, bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phi import _MAX_SAMPLES, _phi_i_fourier_each
-from .specfun import _is_count
+from ._common import check_bracket, check_grid, check_tol
+from .phi import _phi_i_fourier_each
 
 __all__ = ["ScanResult", "MaximizeResult", "grid_scan", "maximize_eta"]
 
@@ -59,14 +58,7 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     one point, and lo = hi gives steps+1 points all at lo; a grid of more
     than 2^20 etas raises ValueError. Ties on the maximum go to the smallest eta.
     """
-    # a finite width keeps np.linspace from overflowing to nan etas
-    if not (lo <= hi and math.isfinite(hi - lo)):
-        raise ValueError(f"need finite lo <= hi, hi - lo finite, got [{lo}, {hi}]")
-    if not _is_count(steps) or steps < 0:
-        raise ValueError(f"steps must be a non-negative integer, got {steps!r}")
-    # the harmonic sum's sample budget bounds a grid's etas too
-    if steps >= _MAX_SAMPLES:
-        raise ValueError(f"steps must be below {_MAX_SAMPLES}, got {steps}")
+    check_grid(lo, hi, steps)
     etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
     results = _phi_i_fourier_each(etas, tol)
     points = tuple(
@@ -101,12 +93,9 @@ def maximize_eta(
     tie going to the smaller |eta|, so it dominates the first grid by
     construction.
     """
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise ValueError(f"need finite lo < hi, hi - lo finite, got [{lo}, {hi}]")
-    if not xtol > 0:
-        raise ValueError(f"xtol must be positive, got {xtol}")
-    if not quad_tol > 0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    check_bracket(lo, hi, "<")
+    check_tol("xtol", xtol)
+    check_tol("quad_tol", quad_tol)
 
     a, b = lo, hi
     steps = _GRID_POINTS - 1 if b - a > xtol else 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import METHODS
+from ._common import METHODS, check_finite, check_tol
 from .quad import _EPS, NonConvergenceError, QuadResult, integrate_1d, integrate_2d
 from .specfun import bessel_j0
 
@@ -66,8 +66,7 @@ class RotationFamily:
     eta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        check_finite("eta", self.eta)
 
     @property
     def epsilon(self) -> float:
@@ -107,11 +106,13 @@ def _solve(integrate, f, domain, pref, tail, tol) -> QuadResult:
     integrate) to tolerance tol in result units. The error estimate is pref
     times the quadrature's plus tail, a bound in result units on what the
     truncated domain leaves out."""
+    check_tol("tol", tol)
     # at an eta near the float maximum the phase overflows and its cosine is
     # NaN, which the quadrature reports as non-convergence in its first round,
-    # so a numpy warning would only repeat it
+    # so a numpy warning would only repeat it. tol / pref may overflow where
+    # tol does not, and 1e308 already accepts every panel
     with np.errstate(over="ignore", invalid="ignore"):
-        r = integrate(f, *domain, tol / pref)
+        r = integrate(f, *domain, min(tol / pref, 1e308))
     return QuadResult(pref * r.value, pref * r.error_estimate + tail, r.evaluations)
 
 
@@ -182,8 +183,7 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     operations as an eta alone, so each eta's result is the one it gets
     alone, bit for bit, whatever the block size.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol("tol", tol)
     lmax = pref / math.sqrt(abs(p * s))
     scale = 2.0 * bound * lmax  # term m is at most scale q^m
     qq = q * q

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._common import NonConvergenceError
+from ._common import NonConvergenceError, check_tol
 
 __all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
 
@@ -199,8 +199,7 @@ def _check_interval(a: float, b: float, tol: float) -> None:
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
     if not a <= b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol("tol", tol)
 
 
 def integrate_1d(

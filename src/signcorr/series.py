@@ -8,11 +8,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from ._common import check_order
 from .phi import RotationFamily
 # integrate_1d and hermite_prob are not called here; the traced benchmark run
 # rebinds both by name
 from .quad import integrate_1d  # noqa: F401
-from .specfun import _is_count, arcsin_coeff, hermite_prob  # noqa: F401
+from .specfun import arcsin_coeff, hermite_prob  # noqa: F401
 
 __all__ = [
     "OddSeries",
@@ -22,9 +23,6 @@ __all__ = [
     "alternation_check",
     "conditional_bound",
 ]
-
-# sign verdicts past order 15 wait for error bars on the coefficients
-_MAX_ORDER = 15
 
 
 @dataclass(frozen=True)
@@ -97,12 +95,7 @@ def mehler_coefficients(family: RotationFamily, K: int) -> OddSeries:
     integral of He_m in closed form (_char_integral).
     A_{j,m} vanishes for odd m by parity.
     """
-    if not _is_count(K):
-        raise ValueError(f"order must be an integer, got {K!r}")
-    if K % 2 == 0:
-        raise ValueError(f"order must be odd, got {K}")
-    if not 1 <= K <= _MAX_ORDER:
-        raise ValueError(f"order must be in [1, {_MAX_ORDER}], got {K}")
+    check_order(K)
 
     eps = family.epsilon
     # Re[I_m((2q+1) eps)^2] for every pair the sums below take: m + 2j = k - 1

@@ -10,14 +10,11 @@ import math
 
 import numpy as np
 
+from ._common import is_count
+
 __all__ = ["hermite_prob", "arcsin_coeff", "bessel_j0"]
 
 _ARCSIN_COEFF_MAX = 64
-
-
-def _is_count(x) -> bool:
-    """Whether x is an int or a numpy integer, and not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _arcsin_table(nmax: int) -> tuple[float, ...]:
@@ -40,7 +37,7 @@ def hermite_prob(m: int, x):
     Uses He_0 = 1, He_1 = x, He_{m+1}(x) = x He_m(x) - m He_{m-1}(x).
     Accepts scalars or numpy arrays.
     """
-    if not _is_count(m):
+    if not is_count(m):
         raise ValueError(f"degree must be an integer, got {m!r}")
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
@@ -56,7 +53,7 @@ def hermite_prob(m: int, x):
 def arcsin_coeff(j: int) -> float:
     """Return a_j = (2j)! / (4^j (j!)^2 (2j+1)), the coefficient of u^{2j+1}
     in the Maclaurin series of arcsin(u). Supported for 0 <= j <= 64."""
-    if not _is_count(j):
+    if not is_count(j):
         raise ValueError(f"index must be an integer, got {j!r}")
     if j < 0 or j > _ARCSIN_COEFF_MAX:
         raise ValueError(f"index must be in [0, {_ARCSIN_COEFF_MAX}], got {j}")

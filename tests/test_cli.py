@@ -134,9 +134,7 @@ class TestSweepCommand:
         assert code == 2
 
     def test_negative_steps_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--lo", "0", "--hi", "0.5", "--steps", "-1"])
-        assert exc.value.code == 2
+        assert main(["sweep", "--lo", "0", "--hi", "0.5", "--steps", "-1"]) == 2
 
 
 class TestSeriesCommand:
@@ -394,32 +392,32 @@ class TestFormatsAndEnvironment:
 
 USAGE_ERRORS = [
     (["verify", "--eta", "0.228", "--tol", "0"],
-     "signcorr verify: error: argument --tol: must be positive and finite, got 0"),
+     "signcorr: error: tol must be positive and finite, got 0.0"),
     (["verify", "--eta", "0.228", "--tol", "inf"],
-     "signcorr verify: error: argument --tol: must be positive and finite, got inf"),
+     "signcorr: error: tol must be positive and finite, got inf"),
     (["sweep", "--lo", "0", "--hi", "1", "--tol", "nan"],
-     "signcorr sweep: error: argument --tol: must be positive and finite, got nan"),
+     "signcorr: error: tol must be positive and finite, got nan"),
     (["optimize", "--lo", "0.1", "--hi", "0.4", "--tol", "inf"],
-     "signcorr optimize: error: argument --tol: must be positive and finite, got inf"),
+     "signcorr: error: tol must be positive and finite, got inf"),
     (["optimize", "--lo", "0.1", "--hi", "0.4", "--xtol", "-1"],
-     "signcorr optimize: error: argument --xtol: must be positive and finite, got -1"),
+     "signcorr: error: xtol must be positive and finite, got -1.0"),
     (["optimize", "--lo", "0.1", "--hi", "0.4", "--xtol", "inf"],
-     "signcorr optimize: error: argument --xtol: must be positive and finite, got inf"),
+     "signcorr: error: xtol must be positive and finite, got inf"),
     (["verify", "--eta", "0.228", "--format", "csv"],
      "signcorr: error: csv output is only available for the sweep command"),
     (["verify", "--eta", "nan"],
-     "signcorr: error: --eta must be finite, got nan"),
+     "signcorr: error: eta must be finite, got nan"),
     (["sweep", "--lo", "1", "--hi", "0"],
-     "signcorr: error: --lo must not exceed --hi, got [1.0, 0.0]"),
+     "signcorr: error: need finite lo <= hi, hi - lo finite, got [1.0, 0.0]"),
     (["series", "--eta", "0.228", "--order", "4"],
-     "signcorr: error: order must be odd, got 4"),
+     "signcorr: error: order must be an odd integer in [1, 15], got 4"),
     (["optimize", "--lo", "0.4", "--hi", "0.1"],
-     "signcorr: error: need --lo < --hi, got [0.4, 0.1]"),
+     "signcorr: error: need finite lo < hi, hi - lo finite, got [0.4, 0.1]"),
     (["sweep", "--lo", "-1e308", "--hi", "1e308"],
      "signcorr: error: need finite lo <= hi, hi - lo finite, got [-1e+308, 1e+308]"),
     # refused before any eta is computed, not by running out of memory
     (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"],
-     "signcorr: error: steps must be below 1048576, got 1000000000000000"),
+     "signcorr: error: steps must be an integer in [0, 1048576), got 1000000000000000"),
     (["mc", "--family", "identity1", "--eta", "0.2", "--seed", "1"],
      "signcorr: error: identity1 takes no --eta or --epsilon"),
     (["mc", "--family", "rotation3", "--seed", "1"],
@@ -428,23 +426,23 @@ USAGE_ERRORS = [
       "--seed", "1"],
      "signcorr: error: rotation3 takes --eta, not --epsilon"),
     (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"],
-     "signcorr: error: --eta must be finite, got inf"),
+     "signcorr: error: eta must be finite, got inf"),
     (["mc", "--family", "hermite5", "--seed", "1"],
      "signcorr: error: hermite5 requires --epsilon"),
     (["mc", "--family", "hermite5", "--epsilon", "0.1", "--eta", "0.2",
       "--seed", "1"],
      "signcorr: error: hermite5 takes --epsilon, not --eta"),
     (["mc", "--family", "hermite5", "--epsilon", "nan", "--seed", "1"],
-     "signcorr: error: --epsilon must be finite, got nan"),
+     "signcorr: error: epsilon must be finite and >= 0, got nan"),
     (["mc", "--family", "identity1", "--target", "phi-t", "--seed", "1"],
      "signcorr: error: --target phi-t requires --t"),
     (["mc", "--family", "rotation3", "--eta", "0.228", "--target", "phi-t",
       "--t", "2", "--seed", "1"],
-     "signcorr: error: --t must satisfy |t| <= 1, got 2.0"),
+     "signcorr: error: need |t| <= 1, got t=2.0"),
     (["mc", "--family", "identity1", "--t", "0.5", "--seed", "1"],
      "signcorr: error: --t is only meaningful with --target phi-t"),
     (["mc", "--family", "identity1", "--samples", "0", "--seed", "1"],
-     "signcorr mc: error: argument --samples: must be >= 1, got 0"),
+     "signcorr: error: samples must be a positive integer, got 0"),
     # refused before any draw, not after minutes of sampling
     (["mc", "--family", "identity1", "--samples", "1073741825", "--seed", "1"],
      "signcorr: error: samples must be at most 2**30, got 1073741825"),
@@ -686,7 +684,7 @@ def launch(tmp_path, argv):
 # (argv, environment, exit code, a line of what the launch prints)
 ANSWERED_WITHOUT_NUMPY = [
     (["verify", "--eta", "nan"], {}, 2,
-     "signcorr: error: --eta must be finite, got nan"),
+     "signcorr: error: eta must be finite, got nan"),
     (["verify", "--eta", "abc"], {}, 2,
      "signcorr verify: error: argument --eta: invalid float value: 'abc'"),
     (["verify", "--method", "foo"], {}, 2,
@@ -700,6 +698,28 @@ ANSWERED_WITHOUT_NUMPY = [
      "('json', 'csv', 'text')"),
     (["mc", "--family", "rotation3", "--seed", "1"], {}, 2,
      "signcorr: error: rotation3 requires --eta"),
+    # the library's own rules, checked by the same functions before it loads
+    (["series", "--eta", "0.228", "--order", "4"], {}, 2,
+     "signcorr: error: order must be an odd integer in [1, 15], got 4"),
+    (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"], {}, 2,
+     "signcorr: error: steps must be an integer in [0, 1048576), got 1000000000000000"),
+    (["sweep", "--lo", "-1e308", "--hi", "1e308"], {}, 2,
+     "signcorr: error: need finite lo <= hi, hi - lo finite, got [-1e+308, 1e+308]"),
+    (["mc", "--family", "identity1", "--samples", "1073741825", "--seed", "1"], {}, 2,
+     "signcorr: error: samples must be at most 2**30, got 1073741825"),
+    (["mc", "--family", "identity1", "--samples", "1000",
+      "--seed", "18446744073709551616"], {}, 2,
+     "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    (["mc", "--family", "hermite5", "--epsilon", "-1", "--seed", "1"], {}, 2,
+     "signcorr: error: epsilon must be finite and >= 0, got -1.0"),
+    (["verify", "--eta", "0.228", "--tol", "inf"], {}, 2,
+     "signcorr: error: tol must be positive and finite, got inf"),
+    (["verify", "--eta", "0.228", "--format", "csv"], {}, 2,
+     "signcorr: error: csv output is only available for the sweep command"),
+    (["series", "--eta", "0.228", "--format", "csv"], {}, 2,
+     "signcorr: error: csv output is only available for the sweep command"),
+    (["optimize", "--lo", "0.1", "--hi", "0.4", "--format", "csv"], {}, 2,
+     "signcorr: error: csv output is only available for the sweep command"),
 ]
 
 
@@ -722,7 +742,8 @@ def test_answered_before_numpy_loads(capsys, monkeypatch, tmp_path, argv, env,
     assert proc.returncode == code == expected
     assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
     assert line in (proc.stderr if expected else proc.stdout)
-    assert "numpy" not in modules
+    # dataclasses costs a cold launch its import of inspect
+    assert not {"numpy", "dataclasses"} & modules
 
 
 def test_verify_loads_only_its_routes(tmp_path):

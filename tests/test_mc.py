@@ -245,6 +245,19 @@ class TestThreads:
         ref = estimate_phi_t(identity1(), 0.5, samples, 0)
         assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
 
+    def test_dividing_family_warns_on_no_thread(self, monkeypatch):
+        # every thread runs F and G with all numpy warnings off, divide by
+        # zero included, whatever the thread; x / 0 keeps the sign of x
+        divide = lambda x: x[:, 0] / np.where(x[:, 0] > 3, 0, 1)
+        fam = mc.Family("divide", 1, divide, divide)
+        estimates = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+            estimates.append(estimate_phi_t(fam, 0.5, 200_000, 0))
+        assert estimates[0] == estimates[1] == estimate_phi_t(identity1(), 0.5, 200_000, 0)
+        est = estimate_phi_i(rotation3(0.228), 10**6, 42)
+        assert (est.mean, est.stderr) == FROZEN_README
+
     def test_nan_on_a_pool_thread_fails_as_non_convergence(self, monkeypatch):
         monkeypatch.setattr(mc, "_worker_count", lambda: 2)
         step = mc._BLOCK // 2  # samples per block at n = 1

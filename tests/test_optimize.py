@@ -1,10 +1,11 @@
 """Grid scan and grid-refinement maximization of the functional over eta."""
 
 import math
+import re
 
 import pytest
 
-import signcorr.optimize
+import signcorr._common
 import signcorr.phi
 from signcorr import (
     NonConvergenceError,
@@ -128,11 +129,11 @@ class TestGridScan:
             grid_scan(-1e308, 1e308, 2)
 
     def test_grid_size_bounded_by_sample_budget(self, monkeypatch):
-        with pytest.raises(ValueError, match="steps must be below 1048576"):
+        with pytest.raises(ValueError, match=re.escape("in [0, 1048576)")):
             grid_scan(0.0, 0.5, 2**20)
-        monkeypatch.setattr(signcorr.optimize, "_MAX_SAMPLES", 4)
+        monkeypatch.setattr(signcorr._common, "_MAX_GRID", 4)
         assert len(grid_scan(0.0, 0.5, 3).points) == 4
-        with pytest.raises(ValueError, match="steps must be below 4"):
+        with pytest.raises(ValueError, match=re.escape("in [0, 4)")):
             grid_scan(0.0, 0.5, 4)
 
 

@@ -202,6 +202,17 @@ class TestPhiIFourier:
                     route(RotationFamily(0.228), tol)
 
 
+@pytest.mark.parametrize(
+    "route", [phi_i_polar, phi_i_cartesian, phi_i_bessel, phi_i_fourier, _phi_real_t_03]
+)
+def test_tolerance_must_be_finite(route):
+    with pytest.raises(ValueError, match="tol must be positive and finite, got inf"):
+        route(RotationFamily(0.228), math.inf)
+    # a finite tolerance is taken however large, even where the quadrature
+    # routes' scaling by 1/prefactor would overflow it
+    assert route(RotationFamily(0.228), 1.7e308).evaluations > 0
+
+
 class TestPhiRealT:
     def test_zero_at_zero(self):
         assert phi_real_t(RotationFamily(0.228), 0.0).value == 0.0
