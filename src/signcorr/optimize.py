@@ -2,10 +2,11 @@
 until the bracket is within tolerance, with a unimodality check on the first.
 
 Every value comes from the Fourier-Laplace route. Its harmonic coefficients
-do not depend on eta, so each grid takes one FFT, and its closed-form sums
-run as array operations over blocks of up to 512 etas. Each row is summed by
-the same operations as a lone eta, so each value is the one phi_i_fourier
-gives at that eta, bit for bit.
+do not depend on eta, so they are computed once per tolerance and process
+and serve every grid, and its closed-form sums run as array operations over
+blocks of up to 512 etas. Each row is summed by the same operations as a
+lone eta, so each value is the one phi_i_fourier gives at that eta, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ def grid_scan(lo: float, hi: float, steps: int, tol: float = 1e-9) -> ScanResult
     than 2^20 etas raises ValueError. Ties on the maximum go to the smallest eta.
     """
     check_grid(lo, hi, steps)
-    etas = [float(e) for e in np.linspace(lo, hi, steps + 1)]
-    results = _phi_i_fourier_each(etas, tol)
-    points = tuple(
-        (e, r.value, r.error_estimate) for e, r in zip(etas, results)
-    )
+    etas = np.linspace(lo, hi, steps + 1).tolist()
+    values, errors, _ = _phi_i_fourier_each(etas, tol)
+    points = tuple(zip(etas, values, errors))
     best = max(range(len(points)), key=lambda i: points[i][1])
     return ScanResult(points, points[best][0], points[best][1])
 

@@ -14,6 +14,7 @@ which has a closed-form Laplace transform against the Bessel kernel
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,11 +165,31 @@ def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     return _solve(integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
 
 
-def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
-    """pref * sum_k c_k Re[e^{-i w_k} / (sqrt(p - 2i w_k) sqrt(s - 2i w_k))],
-    w_k = (2k+1) eta, at every eta of etas, over the cosine coefficients c_k
-    of the odd harmonics 2k+1 of f(x) = g(cos x)[0], an even function with
-    only odd harmonics. g(u) returns f and |df/du| at the points u.
+@dataclass(frozen=True)
+class _Harmonics:
+    """The eta-free part of a Fourier-Laplace sum: the cosine coefficients c
+    of the odd harmonics 1, 3, ..., 2K-1 (both arrays read-only), the Laplace
+    factor's constants p, s and pref, the n samples the coefficients took,
+    and the two eta-free parts of every error estimate: bounds, the dropped
+    harmonics' tail plus the aliasing, and coef_err, the coefficients'
+    rounding carried through the largest Laplace factor."""
+
+    c: np.ndarray
+    harmonics: np.ndarray
+    p: complex
+    s: complex
+    pref: float
+    n: int
+    bounds: float
+    coef_err: float
+
+
+def _harmonics(g, bound, q, p, s, pref, tol) -> _Harmonics:
+    """The harmonics of pref * sum_k c_k Re[e^{-i w_k} /
+    (sqrt(p - 2i w_k) sqrt(s - 2i w_k))], w_k = (2k+1) eta, over the cosine
+    coefficients c_k of the odd harmonics 2k+1 of f(x) = g(cos x)[0], an even
+    function with only odd harmonics. g(u) returns f and |df/du| at the
+    points u.
 
     f extends to the strip |Im x| <= a with |f| <= bound there and q = e^{-a},
     so |c_m| <= 2 bound q^m, and the n-point trapezoid rule gets c_m within
@@ -176,12 +197,8 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     2014). pref times each Laplace factor is at most lmax = pref / sqrt|p s|
     in modulus, as |(p - 2iw)(s - 2iw)| >= |p s| for both uses. The harmonic
     count K leaves a tail of at most tol/2, and n, a power of two, aliases at
-    most tol/2; the error estimate adds both to a rounding bound. evaluations
-    counts the n samples, at most _MAX_SAMPLES. None of K, n, the c_k or
-    their rounding depends on eta, so one FFT serves every eta. The etas are
-    summed _ETA_BLOCK at a time as rows of one array, each row by the same
-    operations as an eta alone, so each eta's result is the one it gets
-    alone, bit for bit, whatever the block size.
+    most tol/2. n is at most _MAX_SAMPLES. None of K, n, the c_k or their
+    rounding depends on eta, so one set serves every eta.
     """
     check_tol("tol", tol)
     lmax = pref / math.sqrt(abs(p * s))
@@ -208,13 +225,6 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
                 f"samples ({k} harmonics, decay {q!r})"
             )
         n *= 2
-    eta = max(etas, key=abs)
-    # the Laplace factor is about -2i w_k, so 2 w_k (and w_k) must be finite
-    if not math.isfinite(2.0 * (2 * k - 1) * eta):
-        raise NonConvergenceError(
-            f"the Laplace factor, about 2 (2k+1) eta, overflows for some k < {k} "
-            f"at eta={eta!r}"
-        )
 
     x = np.arange(n) * (2.0 * math.pi / n)
     f, slope = g(np.cos(x))
@@ -225,42 +235,73 @@ def _fourier_laplace(g, bound, q, etas, p, s, pref, tol) -> list[QuadResult]:
     # 3 eps, f within 2 ulps. Over the K coefficients used, the samples'
     # errors and the FFT's, within 7 log2(n) eps of its 2-norm (Higham,
     # Accuracy and Stability, Thm 24.2), add at most 2 sqrt(K/n) times their
-    # 2-norms (Cauchy-Schwarz). Each term is within 16 ulps of its modulus,
-    # plus the rounding of w_k times |d/dw log(e^{-iw} lap)| <= 3, and fsum
-    # within one ulp of the value.
+    # 2-norms (Cauchy-Schwarz).
     df = _EPS * (2.0 * math.pi + 3.0 * slope + 2.0 * np.abs(f))
     coef_err = 2.0 * math.sqrt(k / n) * (
         math.sqrt(df @ df) + 7.0 * math.log2(n) * _EPS * math.sqrt(f @ f)
     )
     harmonics = np.arange(1, 2 * k, 2)
-    results = []
+    c.flags.writeable = harmonics.flags.writeable = False
+    return _Harmonics(c, harmonics, p, s, pref, n, tail + alias, lmax * coef_err)
+
+
+def _fourier_laplace(h: _Harmonics, etas) -> tuple[list[float], list[float], int]:
+    """The sum h describes at every eta of etas: its values, its error
+    estimates and h.n, which evaluations reports. Each estimate adds h's
+    bounds to a rounding bound: h's coefficient rounding, each term within
+    16 ulps of its modulus plus the rounding of w_k times
+    |d/dw log(e^{-iw} lap)| <= 3, and fsum within one ulp of the value. The
+    etas are summed _ETA_BLOCK at a time as rows of one array, each row by
+    the same operations as an eta alone, so each eta's result is the one it
+    gets alone, bit for bit, whatever the block size.
+    """
+    eta = max(etas, key=abs)
+    # the Laplace factor is about -2i w_k, so 2 w_k (and w_k) must be finite
+    if not math.isfinite(2.0 * (2 * h.c.size - 1) * eta):
+        raise NonConvergenceError(
+            f"the Laplace factor, about 2 (2k+1) eta, overflows for some "
+            f"k < {h.c.size} at eta={eta!r}"
+        )
+    c, p, s, pref = h.c, h.p, h.s, h.pref
+    values: list[float] = []
+    errors: list[float] = []
     # memory is bounded by one block. Each row keeps its eta's bits alone:
     # fsum of the same terms, and a BLAS ddot per row by np.vecdot, as 1-D @
-    # takes; a pairwise sum(axis=1) or einsum would move the last bits
+    # takes; a pairwise sum(axis=1) or einsum would move the last bits. The
+    # error terms add as a lone eta's do, elementwise
     for b in range(0, len(etas), _ETA_BLOCK):
-        w = harmonics * np.array(etas[b : b + _ETA_BLOCK])[:, None]
+        w = h.harmonics * np.array(etas[b : b + _ETA_BLOCK])[:, None]
         lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
         terms = c * (np.exp(-1j * w) * lap).real
         dots = np.vecdot(np.abs(c * lap), 16.0 + 2.0 * np.abs(w))
-        for row, dot in zip(terms.tolist(), dots.tolist()):
-            value = math.fsum(row)
-            rounding = lmax * coef_err + _EPS * dot + _EPS * abs(value)
-            results.append(QuadResult(value, tail + alias + rounding, n))
-    return results
+        block = list(map(math.fsum, terms.tolist()))
+        rounding = h.coef_err + _EPS * dots + _EPS * np.abs(block)
+        values += block
+        errors += (h.bounds + rounding).tolist()
+    return values, errors, h.n
 
 
-def _phi_i_fourier_each(etas, tol: float) -> list[QuadResult]:
-    """phi_i_fourier at every eta of a sequence, all from one set of
-    coefficients: each result is the one phi_i_fourier gives at that eta
-    alone, bit for bit."""
+# Phi(i)/i's sum as _harmonics takes it, g, bound, q, p, s and pref: asinh(cos
+# x) on |Im x| <= asinh 1, and the factors of sqrt((1 - 2i w)^2 + 1)
+_PHI_I_SUM = (
+    lambda u: (np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)),
+    _ASINH_STRIP_BOUND, math.sqrt(2.0) - 1.0, 1.0 - 1.0j, 1.0 + 1.0j, _PREFACTOR_BESSEL,
+)
 
-    def g(u):
-        return np.arcsinh(u), 1.0 / np.sqrt(1.0 + u * u)
 
-    return _fourier_laplace(
-        g, _ASINH_STRIP_BOUND, math.sqrt(2.0) - 1.0, etas,
-        1.0 - 1.0j, 1.0 + 1.0j, _PREFACTOR_BESSEL, tol,
-    )
+@functools.lru_cache(maxsize=8)
+def _phi_i_harmonics(tol: float) -> _Harmonics:
+    """Phi(i)/i's harmonics at tol, computed on first use and kept per
+    process for the eight tolerances used last: they do not depend on eta."""
+    return _harmonics(*_PHI_I_SUM, tol)
+
+
+def _phi_i_fourier_each(etas, tol: float) -> tuple[list[float], list[float], int]:
+    """phi_i_fourier's values and error estimates at every eta of a sequence,
+    and its evaluations, all from one set of harmonics: each is the one
+    phi_i_fourier gives at that eta alone, bit for bit."""
+    check_tol("tol", tol)  # before float(tol), which takes a string
+    return _fourier_laplace(_phi_i_harmonics(float(tol)), etas)
 
 
 def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -273,8 +314,25 @@ def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     quadrature, no cutoff and no J0. asinh(cos x) is analytic on
     |Im x| < asinh 1, where |cos x| <= sqrt2 and |asinh w| <=
     hypot(asinh |w|, pi/2). The square root is taken as the product of
-    sqrt(1 - i - 2i w) and sqrt(1 + i - 2i w)."""
-    return _phi_i_fourier_each([family.eta], tol)[0]
+    sqrt(1 - i - 2i w) and sqrt(1 + i - 2i w). The b_k at each tol are
+    computed once per process."""
+    (value,), (err,), n = _phi_i_fourier_each([family.eta], tol)
+    return QuadResult(value, err, n)
+
+
+def _phi_real_t_sum(a: float) -> tuple:
+    """Phi(|t|)'s sum as _harmonics takes it, g, bound, q, p, s and pref, at
+    a = |t| < 1."""
+    sigma = math.sqrt((1.0 - a) * (1.0 + a))
+
+    def g(u):
+        w = a * u
+        return np.arcsin(w), a / np.sqrt((1.0 - w) * (1.0 + w))
+
+    return (
+        g, math.pi / 2.0, a / (1.0 + sigma),
+        2.0 / (1.0 + a), 2.0 / (1.0 - a), 4.0 / (math.pi * sigma),
+    )
 
 
 def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResult:
@@ -289,21 +347,13 @@ def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResul
     for bit. The two square roots are the factors of the I0 transform's
     sqrt(s^2 - c^2), whose difference of squares would cancel near |t| = 1.
     |arcsin w| <= arcsin |w| <= pi/2 on |Im x| <= acosh(1/|t|), so
-    |beta_m| <= pi r^m with r = |t| / (1 + sqrt(1-t^2))."""
+    |beta_m| <= pi r^m with r = |t| / (1 + sqrt(1-t^2)). The beta_k depend
+    on t, so each call computes its own."""
     if not abs(t) < 1:
         raise ValueError(f"need |t| < 1, got t={t}")
-    a = abs(t)
-    sigma = math.sqrt((1.0 - a) * (1.0 + a))
-
-    def g(u):
-        w = a * u
-        return np.arcsin(w), a / np.sqrt((1.0 - w) * (1.0 + w))
-
-    (r,) = _fourier_laplace(
-        g, math.pi / 2.0, a / (1.0 + sigma), [family.eta],
-        2.0 / (1.0 + a), 2.0 / (1.0 - a), 4.0 / (math.pi * sigma), tol,
-    )
-    return QuadResult(math.copysign(1.0, t) * r.value, r.error_estimate, r.evaluations)
+    h = _harmonics(*_phi_real_t_sum(abs(t)), tol)
+    (value,), (err,), n = _fourier_laplace(h, [family.eta])
+    return QuadResult(math.copysign(1.0, t) * value, err, n)
 
 
 _ROUTES = dict(

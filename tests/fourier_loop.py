@@ -1,8 +1,8 @@
 """The Fourier-Laplace sum as phi._fourier_laplace ran it before etas were
-summed a block at a time, kept as a test oracle: the same K, n, FFT and
-error terms, then one 1-D sum per eta. A test rebinds phi._fourier_laplace
-to this function to get, through the public routes, the bits each eta had
-when it was summed alone.
+summed a block at a time and its harmonics were kept per tolerance, frozen
+as a test oracle: the same K, n, FFT and error terms, then one 1-D sum per
+eta. Tests call it on phi's own sum definitions (phi._PHI_I_SUM and
+phi._phi_real_t_sum) to get the bits each eta had when it was summed alone.
 """
 
 import math

@@ -3,7 +3,10 @@
 import math
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import signcorr._common
 import signcorr.phi
@@ -27,6 +30,10 @@ ORACLE_GRIDS = [(-20.0, 20.0, 1200), (-5.0, 5.0, 3000), (0.0, 1e-300, 1)]
 
 def _bits(scan):
     return [(e, v.hex(), err.hex()) for e, v, err in scan.points]
+
+
+def _result_bits(etas, results):
+    return [(e, r.value.hex(), r.error_estimate.hex()) for e, r in zip(etas, results)]
 
 
 class TestGridScan:
@@ -55,17 +62,66 @@ class TestGridScan:
                 assert err.hex() == direct.error_estimate.hex()
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-14])
-    def test_points_match_per_eta_loop(self, monkeypatch, tol):
-        # grid_scan and phi_i_fourier share the blocked sum, so only a frozen
-        # per-eta loop shows whether a grid's bits moved
-        blocked = [_bits(grid_scan(*grid, tol)) for grid in ORACLE_GRIDS]
-        monkeypatch.setattr(
-            signcorr.phi, "_fourier_laplace", fourier_loop.fourier_laplace
-        )
-        assert blocked == [_bits(grid_scan(*grid, tol)) for grid in ORACLE_GRIDS]
+    def test_points_match_per_eta_loop(self, tol):
+        # grid_scan and phi_i_fourier share the blocked sum and the cached
+        # harmonics, so only the frozen per-eta loop, run on phi_i_fourier's
+        # sum, shows whether a grid's bits moved
+        g, bound, q, p, s, pref = signcorr.phi._PHI_I_SUM
+        blocked, looped = [], []
+        for grid in ORACLE_GRIDS:
+            scan = grid_scan(*grid, tol)
+            etas = [e for e, _, _ in scan.points]
+            loop = fourier_loop.fourier_laplace(g, bound, q, etas, p, s, pref, tol)
+            blocked.append(_bits(scan))
+            looped.append(_result_bits(etas, loop))
+        # the oracle ran once per grid, on every point
+        assert [len(bits) for bits in looped] == [n + 1 for *_, n in ORACLE_GRIDS]
+        assert blocked == looped
         etas = {e for points in blocked for e, _, _ in points}
         assert {0.0, 1e-300, -20.0} <= etas
         assert len(blocked[0]) > signcorr.phi._ETA_BLOCK
+
+    @given(
+        st.floats(-30.0, 30.0),
+        st.floats(-30.0, 30.0),
+        # short grids, and grids across the first eta block's end
+        st.integers(0, 64) | st.integers(500, 640),
+        st.floats(1e-14, 1e-6),
+    )
+    def test_points_match_single_eta_on_a_warm_cache(self, a, b, steps, tol):
+        # whichever fills the cache at tol, a grid or a lone eta, the other
+        # reads the same harmonics and gets the same bits
+        lo, hi = min(a, b), max(a, b)
+        for grid_first in (True, False):
+            signcorr.phi._phi_i_harmonics.cache_clear()
+            if grid_first:
+                scan = grid_scan(lo, hi, steps, tol)
+            etas = np.linspace(lo, hi, steps + 1).tolist()
+            direct = [phi_i_fourier(RotationFamily(e), tol) for e in etas]
+            if not grid_first:
+                scan = grid_scan(lo, hi, steps, tol)
+            assert _bits(scan) == _result_bits(etas, direct)
+
+    @pytest.mark.usefixtures("cold_harmonics")
+    def test_one_fft_per_tolerance(self, monkeypatch):
+        # the harmonics at a tol are computed on first use and kept: a sweep
+        # and the grids of a maximization take one FFT between them
+        sizes, rfft = [], np.fft.rfft
+
+        def counting(x):
+            sizes.append(x.size)
+            return rfft(x)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        grid_scan(0.0, 0.5, 50)
+        maximize_eta(0.1, 0.4)
+        phi_i_fourier(RotationFamily(0.228))
+        assert len(sizes) == 1
+        grid_scan(0.0, 0.5, 50, 1e-12)
+        maximize_eta(0.1, 0.4, quad_tol=1e-12)
+        assert len(sizes) == 2
+        grid_scan(0.0, 0.5, 50)
+        assert len(sizes) == 2
 
     @pytest.mark.parametrize("block", [1, 3, 7])
     def test_bits_do_not_depend_on_eta_block(self, monkeypatch, block):

@@ -182,6 +182,7 @@ class TestPhiIFourier:
         assert not report.passed
         assert abs(report.margin) <= report.error_estimate
 
+    @pytest.mark.usefixtures("cold_harmonics")
     def test_evaluations_count_the_samples(self, monkeypatch):
         sizes, rfft = [], np.fft.rfft
 
@@ -194,6 +195,12 @@ class TestPhiIFourier:
             r = phi_i_fourier(RotationFamily(0.228), tol)
             assert [r.evaluations] == sizes[-1:]
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+    def test_cached_harmonics_are_read_only(self):
+        h = phi._phi_i_harmonics(1e-9)
+        for a in (h.c, h.harmonics):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
     def test_rejects_bad_tolerance(self):
         for route in (phi_i_fourier, _phi_real_t_03):
@@ -247,16 +254,18 @@ class TestPhiRealT:
         assert abs(v) <= 2.0 / math.pi * math.asin(t) + 1e-9
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-14])
-    def test_bits_match_per_eta_loop(self, monkeypatch, tol):
-        # the blocked sum gives a lone eta the bits of the frozen per-eta loop
+    def test_bits_match_per_eta_loop(self, tol):
+        # the blocked sum gives a lone eta the bits of the frozen per-eta
+        # loop, run on phi_real_t's sum at |t|
         etas = [-20.0, -1.3, 0.0, 1e-300, 0.228, 3.7, 20.0]
         cases = [(e, t) for e in etas for t in (0.3, -0.7, 0.95)]
-        blocked = [phi_real_t(RotationFamily(e), t, tol) for e, t in cases]
-        monkeypatch.setattr(phi, "_fourier_laplace", fourier_loop.fourier_laplace)
-        for (e, t), r in zip(cases, blocked):
-            f = phi_real_t(RotationFamily(e), t, tol)
+        for e, t in cases:
+            r = phi_real_t(RotationFamily(e), t, tol)
+            g, bound, q, p, s, pref = phi._phi_real_t_sum(abs(t))
+            (f,) = fourier_loop.fourier_laplace(g, bound, q, [e], p, s, pref, tol)
             assert (r.value.hex(), r.error_estimate.hex(), r.evaluations) == (
-                f.value.hex(), f.error_estimate.hex(), f.evaluations
+                (math.copysign(1.0, t) * f.value).hex(), f.error_estimate.hex(),
+                f.evaluations,
             )
 
     def test_rejects_t_at_or_beyond_one(self):
@@ -392,12 +401,25 @@ class TestNonFiniteIntegrand:
             r = route(RotationFamily(below))
         assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
 
+    @pytest.mark.usefixtures("cold_harmonics")
     @pytest.mark.parametrize("route", [phi_i_fourier, _phi_real_t_03])
     def test_sample_budget(self, monkeypatch, route):
         # both need 2^5 or 2^6 samples at tol 1e-9
         monkeypatch.setattr(phi, "_MAX_SAMPLES", 16)
         with pytest.raises(NonConvergenceError, match="more than 16 samples"):
             route(RotationFamily(0.228))
+
+    @pytest.mark.usefixtures("cold_harmonics")
+    def test_sample_budget_refused_before_overflow(self, monkeypatch):
+        # a cold cache takes the harmonics first, so their refusal comes
+        # first; once they are kept, the phase check runs on every call
+        monkeypatch.setattr(phi, "_MAX_SAMPLES", 16)
+        with pytest.raises(NonConvergenceError, match="more than 16 samples"):
+            phi_i_fourier(RotationFamily(5e306))
+        monkeypatch.undo()
+        phi_i_fourier(RotationFamily(0.228))
+        with pytest.raises(NonConvergenceError, match=self.LAPLACE_OVERFLOW):
+            phi_i_fourier(RotationFamily(5e306))
 
     def test_sample_budget_near_one(self):
         # 1 - |t| = 1e-9 needs more than 2^20 samples at tol 1e-9; 2e-9 fits
