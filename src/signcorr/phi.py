@@ -165,31 +165,13 @@ def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     return _solve(integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
 
 
-@dataclass(frozen=True)
-class _Harmonics:
-    """The eta-free part of a Fourier-Laplace sum: the cosine coefficients c
-    of the odd harmonics 1, 3, ..., 2K-1 (both arrays read-only), the Laplace
-    factor's constants p, s and pref, the n samples the coefficients took,
-    and the two eta-free parts of every error estimate: bounds, the dropped
-    harmonics' tail plus the aliasing, and coef_err, the coefficients'
-    rounding carried through the largest Laplace factor."""
-
-    c: np.ndarray
-    harmonics: np.ndarray
-    p: complex
-    s: complex
-    pref: float
-    n: int
-    bounds: float
-    coef_err: float
-
-
-def _harmonics(g, bound, q, p, s, pref, tol) -> _Harmonics:
-    """The harmonics of pref * sum_k c_k Re[e^{-i w_k} /
-    (sqrt(p - 2i w_k) sqrt(s - 2i w_k))], w_k = (2k+1) eta, over the cosine
-    coefficients c_k of the odd harmonics 2k+1 of f(x) = g(cos x)[0], an even
-    function with only odd harmonics. g(u) returns f and |df/du| at the
-    points u.
+def _harmonics(g, bound, q, p, s, pref, tol):
+    """The sum pref * sum_k c_k Re[e^{-i w_k} / (sqrt(p - 2i w_k)
+    sqrt(s - 2i w_k))], w_k = (2k+1) eta, over the cosine coefficients c_k
+    of the odd harmonics 2k+1 of f(x) = g(cos x)[0], an even function with
+    only odd harmonics, as sums(etas) -> (values, errors, n): its value and
+    error estimate at each eta, and n, the samples it took, which
+    evaluations reports. g(u) returns f and |df/du| at the points u.
 
     f extends to the strip |Im x| <= a with |f| <= bound there and q = e^{-a},
     so |c_m| <= 2 bound q^m, and the n-point trapezoid rule gets c_m within
@@ -198,7 +180,14 @@ def _harmonics(g, bound, q, p, s, pref, tol) -> _Harmonics:
     in modulus, as |(p - 2iw)(s - 2iw)| >= |p s| for both uses. The harmonic
     count K leaves a tail of at most tol/2, and n, a power of two, aliases at
     most tol/2. n is at most _MAX_SAMPLES. None of K, n, the c_k or their
-    rounding depends on eta, so one set serves every eta.
+    rounding depends on eta, so they are computed once, here, for every eta.
+    Each estimate adds the tail and aliasing to a rounding bound: the c_k's
+    rounding carried through lmax, each term within 16 ulps of its modulus
+    plus the rounding of w_k times |d/dw log(e^{-iw} lap)| <= 3, and fsum
+    within one ulp of the value. sums takes the etas _ETA_BLOCK at a time as
+    rows of one array, each row by the same operations as an eta alone, so
+    each eta's result is the one it gets alone, bit for bit, whatever the
+    block size.
     """
     check_tol("tol", tol)
     lmax = pref / math.sqrt(abs(p * s))
@@ -237,48 +226,38 @@ def _harmonics(g, bound, q, p, s, pref, tol) -> _Harmonics:
     # Accuracy and Stability, Thm 24.2), add at most 2 sqrt(K/n) times their
     # 2-norms (Cauchy-Schwarz).
     df = _EPS * (2.0 * math.pi + 3.0 * slope + 2.0 * np.abs(f))
-    coef_err = 2.0 * math.sqrt(k / n) * (
+    coef_err = lmax * (2.0 * math.sqrt(k / n) * (
         math.sqrt(df @ df) + 7.0 * math.log2(n) * _EPS * math.sqrt(f @ f)
-    )
+    ))
+    bounds = tail + alias
     harmonics = np.arange(1, 2 * k, 2)
-    c.flags.writeable = harmonics.flags.writeable = False
-    return _Harmonics(c, harmonics, p, s, pref, n, tail + alias, lmax * coef_err)
 
+    def sums(etas) -> tuple[list[float], list[float], int]:
+        eta = max(etas, key=abs)
+        # the Laplace factor is about -2i w_k, so 2 w_k (and w_k) must be finite
+        if not math.isfinite(2.0 * (2 * k - 1) * eta):
+            raise NonConvergenceError(
+                f"the Laplace factor, about 2 (2k+1) eta, overflows for some "
+                f"k < {k} at eta={eta!r}"
+            )
+        values, errors = [], []
+        # memory is bounded by one block. Each row keeps its eta's bits
+        # alone: fsum of the same terms, and a BLAS ddot per row by
+        # np.vecdot, as 1-D @ takes; a pairwise sum(axis=1) or einsum would
+        # move the last bits. The error terms add as a lone eta's do,
+        # elementwise
+        for b in range(0, len(etas), _ETA_BLOCK):
+            w = harmonics * np.array(etas[b : b + _ETA_BLOCK])[:, None]
+            lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
+            terms = c * (np.exp(-1j * w) * lap).real
+            dots = np.vecdot(np.abs(c * lap), 16.0 + 2.0 * np.abs(w))
+            block = list(map(math.fsum, terms.tolist()))
+            rounding = coef_err + _EPS * dots + _EPS * np.abs(block)
+            values += block
+            errors += (bounds + rounding).tolist()
+        return values, errors, n
 
-def _fourier_laplace(h: _Harmonics, etas) -> tuple[list[float], list[float], int]:
-    """The sum h describes at every eta of etas: its values, its error
-    estimates and h.n, which evaluations reports. Each estimate adds h's
-    bounds to a rounding bound: h's coefficient rounding, each term within
-    16 ulps of its modulus plus the rounding of w_k times
-    |d/dw log(e^{-iw} lap)| <= 3, and fsum within one ulp of the value. The
-    etas are summed _ETA_BLOCK at a time as rows of one array, each row by
-    the same operations as an eta alone, so each eta's result is the one it
-    gets alone, bit for bit, whatever the block size.
-    """
-    eta = max(etas, key=abs)
-    # the Laplace factor is about -2i w_k, so 2 w_k (and w_k) must be finite
-    if not math.isfinite(2.0 * (2 * h.c.size - 1) * eta):
-        raise NonConvergenceError(
-            f"the Laplace factor, about 2 (2k+1) eta, overflows for some "
-            f"k < {h.c.size} at eta={eta!r}"
-        )
-    c, p, s, pref = h.c, h.p, h.s, h.pref
-    values: list[float] = []
-    errors: list[float] = []
-    # memory is bounded by one block. Each row keeps its eta's bits alone:
-    # fsum of the same terms, and a BLAS ddot per row by np.vecdot, as 1-D @
-    # takes; a pairwise sum(axis=1) or einsum would move the last bits. The
-    # error terms add as a lone eta's do, elementwise
-    for b in range(0, len(etas), _ETA_BLOCK):
-        w = h.harmonics * np.array(etas[b : b + _ETA_BLOCK])[:, None]
-        lap = pref / (np.sqrt(p - 2j * w) * np.sqrt(s - 2j * w))
-        terms = c * (np.exp(-1j * w) * lap).real
-        dots = np.vecdot(np.abs(c * lap), 16.0 + 2.0 * np.abs(w))
-        block = list(map(math.fsum, terms.tolist()))
-        rounding = h.coef_err + _EPS * dots + _EPS * np.abs(block)
-        values += block
-        errors += (h.bounds + rounding).tolist()
-    return values, errors, h.n
+    return sums
 
 
 # Phi(i)/i's sum as _harmonics takes it, g, bound, q, p, s and pref: asinh(cos
@@ -290,9 +269,10 @@ _PHI_I_SUM = (
 
 
 @functools.lru_cache(maxsize=8)
-def _phi_i_harmonics(tol: float) -> _Harmonics:
-    """Phi(i)/i's harmonics at tol, computed on first use and kept per
-    process for the eight tolerances used last: they do not depend on eta."""
+def _phi_i_harmonics(tol: float):
+    """Phi(i)/i's sum at tol as a function of its etas, computed on first use
+    and kept per process for the eight tolerances used last: its harmonics
+    do not depend on eta."""
     return _harmonics(*_PHI_I_SUM, tol)
 
 
@@ -301,7 +281,7 @@ def _phi_i_fourier_each(etas, tol: float) -> tuple[list[float], list[float], int
     and its evaluations, all from one set of harmonics: each is the one
     phi_i_fourier gives at that eta alone, bit for bit."""
     check_tol("tol", tol)  # before float(tol), which takes a string
-    return _fourier_laplace(_phi_i_harmonics(float(tol)), etas)
+    return _phi_i_harmonics(float(tol))(etas)
 
 
 def phi_i_fourier(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -351,8 +331,8 @@ def phi_real_t(family: RotationFamily, t: float, tol: float = 1e-9) -> QuadResul
     on t, so each call computes its own."""
     if not abs(t) < 1:
         raise ValueError(f"need |t| < 1, got t={t}")
-    h = _harmonics(*_phi_real_t_sum(abs(t)), tol)
-    (value,), (err,), n = _fourier_laplace(h, [family.eta])
+    sums = _harmonics(*_phi_real_t_sum(abs(t)), tol)
+    (value,), (err,), n = sums([family.eta])
     return QuadResult(math.copysign(1.0, t) * value, err, n)
 
 

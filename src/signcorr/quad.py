@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._common import NonConvergenceError, check_tol
+from ._common import NonConvergenceError, check_bracket, check_tol
 
 __all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
 
@@ -194,14 +194,6 @@ def _lockstep(
     return values, errors, nev
 
 
-def _check_interval(a: float, b: float, tol: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
-    if not a <= b:
-        raise ValueError(f"need a <= b, got [{a}, {b}]")
-    check_tol("tol", tol)
-
-
 def integrate_1d(
     f: Callable,
     a: float,
@@ -219,12 +211,14 @@ def integrate_1d(
     instead, so evaluations never exceed max_evals; so does the first round
     in which f returns a non-finite value.
     """
-    _check_interval(a, b, tol)
+    a, b = float(a), float(b)
+    check_bracket(a, b, "<=")
+    check_tol("tol", tol)
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     value, err, nev = _lockstep(
         lambda owner, x: np.reshape(f(x.ravel()), x.shape),
-        float(a), float(b), tol, 1, 1, _Budget(max_evals),
+        a, b, tol, 1, 1, _Budget(max_evals),
     )
     return QuadResult(float(value[0]), float(err[0]), nev)
 
@@ -254,8 +248,9 @@ def integrate_2d(
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
-    _check_interval(xa, xb, tol)
-    _check_interval(ya, yb, tol)
+    check_bracket(xa, xb, "<=")
+    check_bracket(ya, yb, "<=")
+    check_tol("tol", tol)
     if xa == xb or ya == yb:
         return QuadResult(0.0, 0.0, 0)
 
@@ -263,10 +258,9 @@ def integrate_2d(
     inner_tol = tol / (2.0 * span_x)
     budget = _Budget(max_evals)
     worst_inner = 0.0
-    inner_evals = 0
 
     def outer_integrand(_owner: np.ndarray, x: np.ndarray) -> np.ndarray:
-        nonlocal worst_inner, inner_evals
+        nonlocal worst_inner
         xs = x.ravel()
 
         def inner(owner: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -275,15 +269,14 @@ def integrate_2d(
             v = f(xs[owner], ys)
             return v if np.shape(v) == shape else np.broadcast_to(v, shape)
 
-        values, errs, n = _lockstep(
+        values, errs, _ = _lockstep(
             inner, ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget
         )
         worst_inner = max(worst_inner, float(errs.max()))
-        inner_evals += n
         return values.reshape(x.shape)
 
-    value, outer_err, _ = _lockstep(
+    value, outer_err, nodes = _lockstep(
         outer_integrand, xa, xb, tol / 2.0, 1, 1, budget
     )
     err = float(outer_err[0]) + span_x * worst_inner
-    return QuadResult(float(value[0]), err, inner_evals)
+    return QuadResult(float(value[0]), err, budget.spent - nodes)

@@ -32,6 +32,8 @@ class OddSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
+        # a tuple, so the frozen series is hashable and nothing appends to it
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("need at least the coefficient c_1")
         if not all(math.isfinite(c) for c in self.coeffs):

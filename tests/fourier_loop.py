@@ -1,7 +1,8 @@
-"""The Fourier-Laplace sum as phi._fourier_laplace ran it before etas were
-summed a block at a time and its harmonics were kept per tolerance, frozen
-as a test oracle: the same K, n, FFT and error terms, then one 1-D sum per
-eta. Tests call it on phi's own sum definitions (phi._PHI_I_SUM and
+"""The Fourier-Laplace sum as signcorr ran it before etas were summed a
+block at a time and its harmonics were kept per tolerance (today phi's
+_harmonics and the function of the etas it returns), frozen as a test
+oracle: the same K, n, FFT and error terms, then one 1-D sum per eta. Tests
+call it on phi's own sum definitions (phi._PHI_I_SUM and
 phi._phi_real_t_sum) to get the bits each eta had when it was summed alone.
 """
 

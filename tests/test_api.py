@@ -60,3 +60,22 @@ def test_submodules_resolve_after_bare_import():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# (module, name, layer): the names the traced benchmark run rebinds, as
+# listed in bench/spans.py's NESTED; each must stay bound to its layer's
+# function, even where the module itself no longer calls it
+TRACED = (
+    ("phi", "bessel_j0", "specfun"),
+    ("phi", "integrate_1d", "quad"),
+    ("phi", "integrate_2d", "quad"),
+    ("series", "integrate_1d", "quad"),
+    ("series", "hermite_prob", "specfun"),
+    ("mc", "hermite_prob", "specfun"),
+)
+
+
+@pytest.mark.parametrize("module,name,layer", TRACED)
+def test_traced_names_are_the_layer_functions(module, name, layer):
+    bound = getattr(importlib.import_module(f"signcorr.{module}"), name)
+    assert bound is getattr(importlib.import_module(f"signcorr.{layer}"), name)

@@ -196,11 +196,17 @@ class TestPhiIFourier:
             assert [r.evaluations] == sizes[-1:]
         assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
 
-    def test_cached_harmonics_are_read_only(self):
-        h = phi._phi_i_harmonics(1e-9)
-        for a in (h.c, h.harmonics):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
+    def test_cleared_results_leave_the_cached_sum_alone(self):
+        # the kept sum hands out fresh lists, so what a caller does to them
+        # does not reach the next call
+        etas = [-3.7, 0.0, 0.228, 5.0]
+        first = phi._phi_i_fourier_each(etas, 1e-9)
+        before = [[v.hex() for v in part] for part in first[:2]]
+        for part in first[:2]:
+            part.clear()
+        again = phi._phi_i_fourier_each(etas, 1e-9)
+        assert [[v.hex() for v in part] for part in again[:2]] == before
+        assert again[2] == first[2]
 
     def test_rejects_bad_tolerance(self):
         for route in (phi_i_fourier, _phi_real_t_03):

@@ -217,6 +217,10 @@ class TestIntegrate1d:
             integrate_1d(np.sin, 0.0, 1.0, -1e-10)
         with pytest.raises(ValueError):
             integrate_1d(np.sin, 0.0, math.inf, 1e-10)
+        # finite ends whose width overflows: refused before any panel, with
+        # no numpy warning
+        with pytest.raises(ValueError, match="hi - lo finite"):
+            integrate_1d(lambda x: np.ones_like(x), -1e308, 1e308, 1e-9)
 
     @pytest.mark.parametrize("max_evals", [15, 100, 1000, 3000])
     def test_budget_never_exceeded(self, max_evals):
@@ -283,6 +287,12 @@ class TestIntegrate2d:
             integrate_2d(lambda x, y: x + y, (1.0, 0.0), (0.0, 1.0), 1e-10)
         with pytest.raises(ValueError):
             integrate_2d(lambda x, y: x + y, (0.0, 1.0), (1.0, 0.0), 1e-10)
+
+    def test_rejects_overflowing_width_on_either_axis(self):
+        wide, unit = (-1e308, 1e308), (0.0, 1.0)
+        for ranges in ((wide, unit), (unit, wide)):
+            with pytest.raises(ValueError, match="hi - lo finite"):
+                integrate_2d(lambda x, y: np.ones_like(x * y), *ranges, 1e-9)
 
 
     def test_budget_covers_whole_nested_solve(self):

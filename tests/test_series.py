@@ -151,6 +151,15 @@ class TestOddSeries:
         with pytest.raises(AttributeError):
             s.coeffs = (2.0,)
 
+    def test_list_is_kept_as_a_tuple(self):
+        # a frozen series hashes, and no caller can append past the checks
+        s = OddSeries([1.0, -1 / 6])
+        assert s.coeffs == (1.0, -1 / 6)
+        assert hash(s) == hash(OddSeries((1.0, -1 / 6)))
+        with pytest.raises(AttributeError):
+            s.coeffs.append(math.nan)
+        assert s.max_order == 3
+
 
 class TestCharIntegral:
     @pytest.mark.parametrize("m,beta", sorted(CHAR_REF))
