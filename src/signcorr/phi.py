@@ -54,6 +54,9 @@ _MAX_SAMPLES = 2**20
 # many rows of K terms, however many etas a grid has
 _ETA_BLOCK = 512
 
+# the inner points the polar route's outer nodes may take together
+_POLAR_MAX_EVALS = 10**7
+
 # truncated domains: rho in [0, _CUTOFF] for the radial integrals, the square
 # [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
 _CUTOFF = 100.0
@@ -97,24 +100,72 @@ def _radial(eta: float, rho):
     return np.arcsinh(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rho)
 
 
-def _integrand_polar(eta: float, rho, theta):
-    """argsinh(cos(eta(2 rho - 1))) e^{-rho} cos(rho sin theta), elementwise."""
-    return _radial(eta, rho) * np.cos(rho * np.sin(theta))
+@functools.cache
+def _strips():
+    """The strip half-widths a = 1/8 .. 8 over which the polar route's inner
+    point counts are least, as a column, and sinh a: built on first use, so
+    that importing the module builds no array."""
+    a = 2.0 ** np.arange(-3.0, 4.0)[:, None]
+    return a, np.sinh(a)
 
 
-def _solve(integrate, f, domain, pref, tail, tol) -> QuadResult:
+def _trapezoid_counts(rho, log_target):
+    """Per node, the least even M >= 2 for which the M-point trapezoid sum
+    of int_0^pi cos(rho sin theta) dtheta (= pi J0(rho)) errs by at most
+    e^log_target, as M/2, and the log of the bound on its error at that M.
+
+    The integrand has period pi and is entire; on |Im theta| <= a it is at
+    most cosh(rho sinh a). So M points err by at most
+    2 pi cosh(rho sinh a) / (e^{2aM} - 1) (Trefethen and Weideman, SIAM
+    Review 2014, Thm 3.2, on the period), and M is the least over the strips
+    a of _strips(), as is the bound at that M. All in log space: cosh
+    overflows at rho = 100. Both are functions of each node's rho and target
+    alone."""
+    a, sinh_a = _strips()
+    x = sinh_a * rho  # rho sinh a, one row per strip
+    log_size = math.log(math.pi) + x + np.log1p(np.exp(-2.0 * x))  # 2 pi cosh x
+    # e^{2aM} - 1 >= X, X = e^need, is 2aM >= log(1 + X)
+    need = log_size - log_target
+    h = np.maximum(np.ceil(np.logaddexp(0.0, need) / (4.0 * a)).min(axis=0), 1.0)
+    y = 4.0 * a * h
+    log_bound = (log_size - y - np.log(-np.expm1(-y))).min(axis=0)
+    return h.astype(np.int64), log_bound
+
+
+def _trapezoid(rho, h):
+    """Per node, the 2h-point trapezoid sum of int_0^pi cos(rho sin theta)
+    dtheta, from its h + 1 distinct points theta_j = j pi / 2h: theta and
+    pi - theta give the same sine, so the sum is pi / h times the sum over
+    j, less half the ends theta = 0 (cosine 1) and pi/2. Each node's sum
+    comes from its own points alone, in one order, so its bits do not depend
+    on the other nodes."""
+    ends = np.cumsum(h + 1)
+    j = np.arange(ends[-1]) - np.repeat(ends - h - 1, h + 1)
+    step = (0.5 * math.pi) / h
+    v = np.cos(np.repeat(rho, h + 1) * np.sin(j * np.repeat(step, h + 1)))
+    return (np.add.reduceat(v, ends - h - 1) - 0.5 * (1.0 + v[ends - 1])) * (2.0 * step)
+
+
+def _solve(integrate, f, domain, pref, tail, tol, inner=None) -> QuadResult:
     """pref times the integral of f over domain (the interval arguments of
     integrate) to tolerance tol in result units. The error estimate is pref
-    times the quadrature's plus tail, a bound in result units on what the
-    truncated domain leaves out."""
+    times the quadrature's, plus tail, a bound in result units on what the
+    truncated domain leaves out. An f that sums an inner integral at each of
+    its nodes, sized for tol/2, passes inner; the quadrature then gets the
+    other tol/2, and inner returns after the solve a bound in f's units on
+    what those sums' errors add to it, charged with pref, and the sums'
+    evaluations, which the result reports in place of the nodes."""
     check_tol("tol", tol)
     # at an eta near the float maximum the phase overflows and its cosine is
     # NaN, which the quadrature reports as non-convergence in its first round,
     # so a numpy warning would only repeat it. tol / pref may overflow where
     # tol does not, and 1e308 already accepts every panel
     with np.errstate(over="ignore", invalid="ignore"):
-        r = integrate(f, *domain, min(tol / pref, 1e308))
-    return QuadResult(pref * r.value, pref * r.error_estimate + tail, r.evaluations)
+        r = integrate(f, *domain, min(tol / pref * (0.5 if inner else 1.0), 1e308))
+    bound, evaluations = inner() if inner else (0.0, r.evaluations)
+    return QuadResult(
+        pref * r.value, pref * (r.error_estimate + bound) + tail, evaluations
+    )
 
 
 def _cutoff_tail(bound: float, rate: float) -> float:
@@ -124,14 +175,55 @@ def _cutoff_tail(bound: float, rate: float) -> float:
 
 def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
-    [0, _CUTOFF] x [0, pi], with the radial tail charged to the error."""
-    def f(rho, th):
-        return _integrand_polar(family.eta, rho, th)
+    [0, _CUTOFF] x [0, pi] of argsinh(cos(eta(2 rho - 1))) e^{-rho}
+    cos(rho sin theta), with the radial tail charged to the error.
+
+    The outer rho-integral is adaptive, by integrate_1d at tol/2. At each of
+    its nodes the inner theta-integral, pi J0(rho), is a periodic trapezoid
+    sum of M = 2h points (_trapezoid), h set before any evaluation
+    (_trapezoid_counts) so that the sum's bound B times asinh(1) e^{-rho},
+    which bounds the radial factor, is at most tau = tol / (2 pref _CUTOFF).
+    Each node's sum is within B + pi eps (h + 9 rho + 9) of pi J0(rho), the
+    second term its rounding, with each sine and cosine within 2 ulps. The
+    K15 weights are positive and sum to each panel's width, so the outer sum
+    carries at most _CUTOFF times the largest asinh(1) e^{-rho} times that,
+    over the nodes evaluated: a bound of at most tol/2 plus the rounding,
+    which the error estimate adds to the outer K15-G7 estimate. evaluations
+    counts the distinct inner points, h + 1 per outer node, summed over the
+    outer nodes. There may be at most _POLAR_MAX_EVALS: an outer integrand
+    call that would pass that raises NonConvergenceError before it is
+    evaluated."""
+    check_tol("tol", tol)
+    eta = family.eta
+    # log(tau / asinh 1): a node's target is tau e^rho / asinh 1
+    log_tau = math.log(min(tol / _PREFACTOR, 1e308)) - math.log(2.0 * _CUTOFF * _ASINH1)
+    spent, worst, most_h = 0, -math.inf, 0
+
+    def f(rho):
+        nonlocal spent, worst, most_h
+        h, log_bound = _trapezoid_counts(rho, log_tau + rho)
+        n = int(h.sum()) + h.size
+        if spent + n > _POLAR_MAX_EVALS:
+            raise NonConvergenceError(
+                f"no convergence on [0.0, {_CUTOFF}] within {_POLAR_MAX_EVALS} "
+                f"inner evaluations: {spent} spent, the next outer call needs "
+                f"{n} (tol={tol})"
+            )
+        spent += n
+        worst = max(worst, float((log_bound - rho).max()))
+        most_h = max(most_h, int(h.max()))
+        return _radial(eta, rho) * _trapezoid(rho, h)
 
     # pi argsinh(1) e^{-rho} bounds the theta integral, as in the Bessel route
     tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
-    domain = ((0.0, _CUTOFF), (0.0, math.pi))
-    return _solve(integrate_2d, f, domain, _PREFACTOR, tail, tol)
+
+    def inner():
+        # the largest e^{-rho} B, and e^{-rho} (h + 9 rho + 9) <= h + 9, each
+        # a maximum over the nodes, so neither depends on how they were split
+        most = math.exp(worst) + math.pi * _EPS * (most_h + 9)
+        return _CUTOFF * _ASINH1 * most, spent
+
+    return _solve(integrate_1d, f, (0.0, _CUTOFF), _PREFACTOR, tail, tol, inner=inner)
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:

@@ -22,8 +22,7 @@ from signcorr import (
     verify_theorem,
 )
 from signcorr import phi
-from signcorr.phi import _integrand_polar
-from signcorr.quad import _NODES, NonConvergenceError
+from signcorr.quad import _EPS, _NODES, NonConvergenceError
 
 import fourier_loop
 import radial
@@ -54,6 +53,13 @@ PHI_T_REF_228_99999 = 0.85949631992827705820
 PHI_T_REF_20_095 = 0.0962584753744171
 QUADRATURE_ROUTES = (phi_i_polar, phi_i_cartesian, phi_i_bessel)
 ROUTES = QUADRATURE_ROUTES + (phi_i_fourier,)
+
+
+def _integrand_polar(eta, rho, theta):
+    """The polar double integral's integrand, argsinh(cos(eta(2 rho - 1)))
+    e^{-rho} cos(rho sin theta), elementwise. phi_i_polar sums its theta
+    integral by the trapezoid rule; tests/test_quad.py integrates it in 2D."""
+    return phi._radial(eta, rho) * np.cos(rho * np.sin(theta))
 
 
 class TestConstants:
@@ -101,6 +107,136 @@ class TestIntegrandPolar:
         vals = _integrand_polar(0.7, rho[:, None], theta[None, :])
         bound = math.asinh(1.0) * np.exp(-rho)[:, None]
         assert np.all(np.abs(vals) <= bound + 1e-15)
+
+
+def _trapezoid_log_bound(rho, m):
+    """log of min over the strips a = 2^-3 .. 2^3 of
+    2 pi cosh(rho sinh a) / (e^{2am} - 1), the m-point trapezoid rule's error
+    bound on int_0^pi cos(rho sin theta) dtheta, one node at a time."""
+    best = math.inf
+    for a in 2.0 ** np.arange(-3, 4):
+        x = rho * math.sinh(a)
+        log_cosh = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+        y = 2.0 * a * m
+        best = min(best, math.log(2.0 * math.pi) + log_cosh - y - math.log(-math.expm1(-y)))
+    return best
+
+
+class TestPolarTrapezoid:
+    """The polar route's inner integral, pi J0(rho), by the periodic
+    trapezoid rule with an a-priori point count."""
+
+    # the polar route's own targets, tau e^rho / asinh 1 at three tolerances,
+    # and flat ones, loose to tight, whose counts turn on the narrow strips
+    TARGETS = [
+        *(("polar", tol) for tol in (1e-6, 1e-9, 1e-12)),
+        *(("flat", t) for t in (10.0, 1.0, 0.1, 1e-3, 1e-8)),
+    ]
+
+    @staticmethod
+    def _log_target(kind, value, rho):
+        if kind == "flat":
+            return np.full_like(rho, math.log(value))
+        log_tau = math.log(value / phi._PREFACTOR) - math.log(
+            2.0 * phi._CUTOFF * phi._ASINH1
+        )
+        return log_tau + rho
+
+    def _nodes(self, kind, value):
+        """rho over [0, 100], with the floats on both sides of every point
+        where the count changes."""
+        rho = np.linspace(0.0, 100.0, 1001)
+        h, _ = phi._trapezoid_counts(rho, self._log_target(kind, value, rho))
+        extra = []
+        for i in np.flatnonzero(np.diff(h)):
+            lo, hi = rho[i], rho[i + 1]
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                pair = np.array([lo, mid])
+                hh, _ = phi._trapezoid_counts(pair, self._log_target(kind, value, pair))
+                lo, hi = (mid, hi) if hh[1] == hh[0] else (lo, mid)
+            extra += [lo, hi]
+        return np.concatenate([rho, extra])
+
+    @pytest.mark.parametrize("kind,value", TARGETS)
+    def test_sum_within_stated_bound(self, kind, value):
+        # each node's sum is within B + pi eps (h + 9 rho + 9) of pi J0(rho);
+        # scipy's j0 is allowed pi eps of its own
+        j0 = pytest.importorskip("scipy.special").j0
+        rho = self._nodes(kind, value)
+        h, log_bound = phi._trapezoid_counts(rho, self._log_target(kind, value, rho))
+        err = np.abs(phi._trapezoid(rho, h) - math.pi * j0(rho))
+        stated = np.exp(log_bound) + math.pi * _EPS * (h + 9.0 * rho + 9.0)
+        assert np.all(err <= stated + math.pi * _EPS)
+        assert h.min() >= 1
+
+    @pytest.mark.parametrize("kind,value", TARGETS)
+    def test_count_is_the_least_that_meets_the_target(self, kind, value):
+        # M = 2h meets the target by the bound, recomputed here, and M - 2
+        # does not; 1e-12 in the log allows for ties at a breakpoint
+        rho = self._nodes(kind, value)
+        log_target = self._log_target(kind, value, rho)
+        h, log_bound = phi._trapezoid_counts(rho, log_target)
+        for r, k, lt, lb in zip(rho.tolist(), h.tolist(), log_target.tolist(),
+                                log_bound.tolist()):
+            assert lb == pytest.approx(_trapezoid_log_bound(r, 2 * k), abs=1e-12)
+            assert _trapezoid_log_bound(r, 2 * k) <= lt + 1e-12
+            if k > 1:
+                assert _trapezoid_log_bound(r, 2 * k - 2) > lt - 1e-12
+
+    def test_folded_sum_is_the_full_sum(self):
+        # h + 1 distinct points give the 2h-point sum over the whole period
+        rho = np.array([0.0, 0.3, 1.0, 2.5, 7.0, 19.0, 60.0, 100.0])
+        for h in (1, 2, 3, 8, 21):
+            hs = np.full(rho.size, h)
+            theta = np.arange(2 * h) * (math.pi / (2 * h))
+            full = np.cos(rho[:, None] * np.sin(theta)).sum(axis=1) * (math.pi / (2 * h))
+            np.testing.assert_allclose(phi._trapezoid(rho, hs), full, rtol=0, atol=1e-13)
+
+    def test_sum_of_a_node_does_not_depend_on_the_others(self):
+        rho = np.linspace(0.0, 100.0, 301)
+        h, _ = phi._trapezoid_counts(rho, np.full(rho.size, math.log(1e-10)))
+        together = phi._trapezoid(rho, h)
+        alone = [phi._trapezoid(rho[i : i + 1], h[i : i + 1])[0] for i in range(rho.size)]
+        assert [v.hex() for v in together.tolist()] == [v.hex() for v in alone]
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 5.0, 20.0])
+    def test_agrees_with_fourier_within_estimate(self, eta, tol):
+        fam = RotationFamily(eta)
+        r, ref = phi_i_polar(fam, tol), phi_i_fourier(fam, 1e-14)
+        assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
+
+    def test_inner_budget_refused_before_evaluation(self, monkeypatch):
+        # a budget of the first outer call's points: the second call raises
+        # before any of its sums is taken
+        points, trapezoid = [], phi._trapezoid
+
+        def counting(rho, h):
+            points.append(int(h.sum()) + h.size)
+            return trapezoid(rho, h)
+
+        monkeypatch.setattr(phi, "_trapezoid", counting)
+        phi_i_polar(RotationFamily(0.228))
+        first, points[:] = points[0], []
+        monkeypatch.setattr(phi, "_POLAR_MAX_EVALS", first)
+        with pytest.raises(NonConvergenceError, match=f"within {first} inner evaluations"):
+            phi_i_polar(RotationFamily(0.228))
+        assert points == [first]
+
+    @pytest.mark.parametrize("eta", [0.228, 5.0])
+    def test_evaluations_count_the_distinct_points(self, monkeypatch, eta):
+        points, trapezoid = [], phi._trapezoid
+
+        def counting(rho, h):
+            points.append(int(h.sum()) + h.size)
+            return trapezoid(rho, h)
+
+        monkeypatch.setattr(phi, "_trapezoid", counting)
+        r = phi_i_polar(RotationFamily(eta))
+        assert r.evaluations == sum(points)
 
 
 class TestPhiIRoutes:
@@ -153,14 +289,33 @@ class TestPhiIRoutes:
     def test_estimate_covers_error_at_default_tolerance(self):
         # reference: phi_i_fourier at tol 1e-14, within 6e-17 of a piecewise
         # scipy quad. At tol 1e-9 phi_i_bessel misses by 6.48e-10 at eta 4.2
-        # (estimate 5.86e-11); at eta 3.67 phi_i_bessel and phi_i_polar both
-        # miss by 1.91e-10 (estimates 2.80e-11 and 2.19e-11).
+        # (estimate 5.86e-11) and by 1.91e-10 at eta 3.67 (estimate 2.80e-11).
+        # phi_i_polar misses by 1.93e-10 at 3.67, which the bound on its
+        # trapezoid sums, within its estimate of 5.22e-10, covers.
         misses = []
         for eta, routes in ((4.2, (phi_i_bessel,)), (3.67, (phi_i_bessel, phi_i_polar))):
             family = RotationFamily(eta)
             ref = phi_i_fourier(family, 1e-14)
             for route in routes:
                 r = route(family, 1e-9)
+                if abs(r.value - ref.value) > r.error_estimate + ref.error_estimate:
+                    misses.append((eta, route.__name__))
+        assert not misses
+
+
+    @pytest.mark.xfail(strict=True, reason="the K15-G7 estimate falls short at tol 1e-6")
+    def test_estimate_covers_error_at_loose_tolerance(self):
+        # reference: phi_i_fourier at tol 1e-14. At tol 1e-6 phi_i_bessel
+        # misses by 3.13e-7 at eta 5 (estimate 7.77e-8) and by 2.17e-7 at
+        # eta 20 (estimate 5.28e-8). phi_i_polar's outer solve is the Bessel
+        # route's at tol/2 and also misses at eta 5 by 3.11e-7; the bound on
+        # its trapezoid sums, 5.5e-7 of its estimate, covers that
+        misses = []
+        for eta, routes in ((5.0, (phi_i_bessel, phi_i_polar)), (20.0, (phi_i_bessel,))):
+            family = RotationFamily(eta)
+            ref = phi_i_fourier(family, 1e-14)
+            for route in routes:
+                r = route(family, 1e-6)
                 if abs(r.value - ref.value) > r.error_estimate + ref.error_estimate:
                     misses.append((eta, route.__name__))
         assert not misses
