@@ -32,11 +32,6 @@ def check_finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite, got {x}")
 
 
-def check_non_negative(name: str, x) -> None:
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {x}")
-
-
 def check_tol(name: str, tol) -> None:
     if not 0 < tol < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {tol}")

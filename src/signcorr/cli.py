@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from ._common import (
     METHODS, NonConvergenceError, check_bracket, check_draws, check_finite,
-    check_grid, check_non_negative, check_order, check_t, check_tol,
+    check_grid, check_order, check_t, check_tol,
 )
 
 _FORMATS = ("json", "csv", "text")
@@ -168,32 +168,22 @@ def _cmd_series(args, fmt: str):
     return 0, _report("series", payload, fmt)
 
 
-# each mc family's one flag, and the rule its constructor of the same name applies
-_FAMILIES = {"identity1": (None, None), "rotation3": ("eta", check_finite),
-             "hermite5": ("epsilon", check_non_negative)}
-
-
 def _mc_params(args) -> dict:
-    """The family's parameter as {flag: value}, checked before mc loads."""
-    flag, rule = _FAMILIES[args.family]
-    if flag is None:
-        if args.eta is not None or args.epsilon is not None:
-            raise ValueError(f"{args.family} takes no --eta or --epsilon")
+    """The family's parameter as {flag: value}, checked before mc loads:
+    rotation3 needs --eta, and identity1 takes none."""
+    if args.family == "identity1":
+        if args.eta is not None:
+            raise ValueError("identity1 takes no --eta")
         return {}
-    other = "epsilon" if flag == "eta" else "eta"
-    if getattr(args, flag) is None:
-        raise ValueError(f"{args.family} requires --{flag}")
-    if getattr(args, other) is not None:
-        raise ValueError(f"{args.family} takes --{flag}, not --{other}")
-    rule(flag, getattr(args, flag))
-    return {flag: getattr(args, flag)}
+    if args.eta is None:
+        raise ValueError("rotation3 requires --eta")
+    check_finite("eta", args.eta)
+    return {"eta": args.eta}
 
 
 def _mc_reference(args) -> float | None:
     """The quadrature or closed-form value the estimate targets, or None where
-    there is none: hermite5, and rotation3 at |t| = 1, outside phi_real_t."""
-    if args.family == "hermite5":
-        return None
+    there is none: rotation3 at |t| = 1, outside phi_real_t."""
     from .phi import THRESHOLD, RotationFamily, phi_i_bessel, phi_real_t
 
     if args.target == "phi-i":
@@ -299,9 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_series)
 
     p = sub.add_parser("mc", help="seeded Monte Carlo estimate")
-    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+    p.add_argument("--family", choices=("identity1", "rotation3"), required=True)
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--target", choices=("phi-i", "phi-t"), default="phi-i")
     p.add_argument("--samples", type=int, default=10**6)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._common import check_draws, check_non_negative, check_t, is_count
+from ._common import check_draws, check_t, is_count
 from .phi import RotationFamily
 from .quad import NonConvergenceError
 from .specfun import hermite_prob
@@ -30,7 +30,6 @@ __all__ = [
     "McEstimate",
     "identity1",
     "rotation3",
-    "hermite5",
     "estimate_phi_t",
     "estimate_phi_i",
 ]
@@ -96,16 +95,6 @@ def rotation3(eta: float) -> Family:
         return y[:, 1] * np.cos(a) - y[:, 2] * np.sin(a)
 
     return Family("rotation3", 3, F, G)
-
-
-def hermite5(epsilon: float) -> Family:
-    """n = 2, F = G = x0 + epsilon He_5(x1)."""
-    check_non_negative("epsilon", epsilon)
-
-    def F(x):
-        return x[:, 0] + epsilon * hermite_prob(5, x[:, 1])
-
-    return Family("hermite5", 2, F, F)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

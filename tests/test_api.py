@@ -43,7 +43,7 @@ def test_star_import_binds_each_submodule_name():
     namespace = {}
     exec("from signcorr import *", namespace)
     names = set(namespace) - {"__builtins__"}
-    assert len(names) == len(signcorr.__all__) == 35
+    assert len(names) == len(signcorr.__all__) == 34
     assert namespace["__version__"] == signcorr.__version__
     for module in SUBMODULES:
         mod = importlib.import_module(f"signcorr.{module}")

@@ -207,16 +207,6 @@ class TestMcCommand:
         assert report["reference"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert report["inputs"]["t"] == 0.5
 
-    def test_hermite5_has_no_reference(self, capsys):
-        code, out, _ = run_cli(capsys, [
-            "mc", "--family", "hermite5", "--epsilon", "0.05",
-            "--samples", "50000", "--seed", "3",
-        ])
-        assert code == 0
-        report = json.loads(out)
-        assert "reference" not in report
-        assert "z_score" not in report
-
     @pytest.mark.parametrize("t", ["1", "-1"])
     def test_rotation3_unit_t_has_no_reference(self, capsys, t):
         # phi_real_t needs |t| < 1, so the estimate is reported without one
@@ -419,21 +409,17 @@ USAGE_ERRORS = [
     (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"],
      "signcorr: error: steps must be an integer in [0, 1048576), got 1000000000000000"),
     (["mc", "--family", "identity1", "--eta", "0.2", "--seed", "1"],
-     "signcorr: error: identity1 takes no --eta or --epsilon"),
+     "signcorr: error: identity1 takes no --eta"),
     (["mc", "--family", "rotation3", "--seed", "1"],
      "signcorr: error: rotation3 requires --eta"),
     (["mc", "--family", "rotation3", "--eta", "0.2", "--epsilon", "0.1",
       "--seed", "1"],
-     "signcorr: error: rotation3 takes --eta, not --epsilon"),
+     "signcorr: error: unrecognized arguments: --epsilon 0.1"),
     (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"],
      "signcorr: error: eta must be finite, got inf"),
     (["mc", "--family", "hermite5", "--seed", "1"],
-     "signcorr: error: hermite5 requires --epsilon"),
-    (["mc", "--family", "hermite5", "--epsilon", "0.1", "--eta", "0.2",
-      "--seed", "1"],
-     "signcorr: error: hermite5 takes --epsilon, not --eta"),
-    (["mc", "--family", "hermite5", "--epsilon", "nan", "--seed", "1"],
-     "signcorr: error: epsilon must be finite and >= 0, got nan"),
+     "signcorr mc: error: argument --family: invalid choice: 'hermite5' "
+     "(choose from 'identity1', 'rotation3')"),
     (["mc", "--family", "identity1", "--target", "phi-t", "--seed", "1"],
      "signcorr: error: --target phi-t requires --t"),
     (["mc", "--family", "rotation3", "--eta", "0.228", "--target", "phi-t",
@@ -487,9 +473,6 @@ NUMERIC_EDGES = [
     # the mixing angle overflows, so its cosine and the weights are NaN
     (["mc", "--family", "rotation3", "--eta", "5e307", "--target", "phi-t",
       "--t", "0.001", "--samples", "100000", "--seed", "1"], 3),
-    # F overflows to inf, which keeps its sign
-    (["mc", "--family", "hermite5", "--epsilon", "1e308", "--samples", "100000",
-      "--seed", "1"], 0),
     (["verify", "--method", "fourier", "--eta", "3.5e306"], 1),
 ]
 
@@ -693,6 +676,8 @@ ANSWERED_WITHOUT_NUMPY = [
     (["--version"], {}, 0, __version__),
     (["--help"], {}, 0,
      "usage: signcorr [-h] [--version] {verify,sweep,series,mc,optimize} ..."),
+    (["mc", "--help"], {}, 0,
+     "usage: signcorr mc [-h] --family {identity1,rotation3} [--eta ETA] [--t T]"),
     (["verify", "--eta", "0.228"], {"SIGNCORR_FORMAT": "yaml"}, 2,
      "signcorr: error: unknown output format 'yaml', expected one of "
      "('json', 'csv', 'text')"),
@@ -710,8 +695,8 @@ ANSWERED_WITHOUT_NUMPY = [
     (["mc", "--family", "identity1", "--samples", "1000",
       "--seed", "18446744073709551616"], {}, 2,
      "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
-    (["mc", "--family", "hermite5", "--epsilon", "-1", "--seed", "1"], {}, 2,
-     "signcorr: error: epsilon must be finite and >= 0, got -1.0"),
+    (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"], {}, 2,
+     "signcorr: error: eta must be finite, got inf"),
     (["verify", "--eta", "0.228", "--tol", "inf"], {}, 2,
      "signcorr: error: tol must be positive and finite, got inf"),
     (["verify", "--eta", "0.228", "--format", "csv"], {}, 2,

@@ -16,12 +16,12 @@ from signcorr import (
     RotationFamily,
     estimate_phi_i,
     estimate_phi_t,
-    hermite5,
     identity1,
     phi_i_bessel,
     rotation3,
 )
 from signcorr.quad import NonConvergenceError
+from signcorr.specfun import hermite_prob
 
 
 # (mean, stderr) frozen before batches were split into blocks: identity1 phi-t
@@ -30,6 +30,15 @@ from signcorr.quad import NonConvergenceError
 # references freeze too
 FROZEN_ACROSS_BATCHES = (0.19360597471372273, 0.0009573023255627944)
 FROZEN_README = (0.5647312593125925, 0.0018234982741031406)
+
+
+def _hermite5(x):
+    return x[:, 0] + 0.1 * hermite_prob(5, x[:, 1])
+
+
+# n = 2, F = G = x0 + 0.1 He_5(x1): four normals a sample, so a block holds
+# _BLOCK // 4 samples
+HERMITE5 = mc.Family("n2", 2, _hermite5, _hermite5)
 
 
 def assert_within_sigma(estimate, truth, sigma=4.0):
@@ -50,16 +59,9 @@ class TestFamilies:
         assert fam.name == "rotation3"
         assert fam.n == 3
 
-    def test_hermite5_shape(self):
-        fam = hermite5(0.1)
-        assert fam.name == "hermite5"
-        assert fam.n == 2
-
     def test_validation(self):
         with pytest.raises(ValueError, match="eta must be finite"):
             rotation3(math.nan)
-        with pytest.raises(ValueError):
-            hermite5(-0.1)
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, True])
     def test_rejects_bad_dimension(self, n):
@@ -158,10 +160,9 @@ class TestBlocking:
 
     @pytest.mark.parametrize("samples", _block_counts(2))
     def test_hermite5_phi_t_matches_whole_batch(self, samples, monkeypatch):
-        fam = hermite5(0.1)
-        blocked = estimate_phi_t(fam, 0.6, samples, 13)
+        blocked = estimate_phi_t(HERMITE5, 0.6, samples, 13)
         monkeypatch.setattr(mc, "_accumulate", _whole_batch_accumulate)
-        assert blocked == estimate_phi_t(fam, 0.6, samples, 13)
+        assert blocked == estimate_phi_t(HERMITE5, 0.6, samples, 13)
 
     def test_working_memory_bounded(self):
         # one full batch: about 16 MB blocked, 264 MB with batch-sized temporaries
@@ -182,7 +183,7 @@ def _one_batch_peak():
 def hermite5_across_batches():
     """Arguments of an estimate_phi_t call past one batch boundary, and the
     whole-batch oracle's estimate for them."""
-    args = (hermite5(0.1), 0.6, mc._BATCH + 3 * (mc._BLOCK // 4) + 7, 13)
+    args = (HERMITE5, 0.6, mc._BATCH + 3 * (mc._BLOCK // 4) + 7, 13)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "_accumulate", _whole_batch_accumulate)
         return args, estimate_phi_t(*args)
@@ -244,6 +245,7 @@ class TestThreads:
         # an infinite value keeps its sign, so the weights are identity1's
         ref = estimate_phi_t(identity1(), 0.5, samples, 0)
         assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+        assert estimate_phi_i(fam, samples, 0) == estimate_phi_i(identity1(), samples, 0)
 
     def test_dividing_family_warns_on_no_thread(self, monkeypatch):
         # every thread runs F and G with all numpy warnings off, divide by
@@ -308,7 +310,8 @@ class TestClosedFormCrossChecks:
         assert abs(plus.mean - minus.mean) <= 4.0 * (plus.stderr + minus.stderr)
 
     def test_hermite5_zero_epsilon(self):
-        est = estimate_phi_i(hermite5(0.0), 200000, 11)
+        first = lambda x: x[:, 0]
+        est = estimate_phi_i(mc.Family("n2", 2, first, first), 200000, 11)
         assert_within_sigma(est, THRESHOLD)
 
     @pytest.mark.parametrize("t", [0.25, 0.6])
