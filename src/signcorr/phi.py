@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import METHODS, check_finite, check_tol
-from .quad import _EPS, NonConvergenceError, QuadResult, integrate_1d, integrate_2d
+from .quad import _EPS, NonConvergenceError, QuadResult, _Budget
+from .quad import integrate_1d, integrate_2d
 from .specfun import bessel_j0
 
 __all__ = [
@@ -173,6 +174,12 @@ def _cutoff_tail(bound: float, rate: float) -> float:
     return bound * math.exp(-rate * _CUTOFF) / rate
 
 
+def _radial_tail() -> float:
+    """The Bessel and polar routes' bound on rho > _CUTOFF, read at call time:
+    |argsinh(cos)| <= argsinh(1), and pi |J0| <= pi bounds the theta integral."""
+    return _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
+
+
 def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
     [0, _CUTOFF] x [0, pi] of argsinh(cos(eta(2 rho - 1))) e^{-rho}
@@ -197,33 +204,25 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     eta = family.eta
     # log(tau / asinh 1): a node's target is tau e^rho / asinh 1
     log_tau = math.log(min(tol / _PREFACTOR, 1e308)) - math.log(2.0 * _CUTOFF * _ASINH1)
-    spent, worst, most_h = 0, -math.inf, 0
+    budget, worst, most_h = _Budget(_POLAR_MAX_EVALS), -math.inf, 0
 
     def f(rho):
-        nonlocal spent, worst, most_h
+        nonlocal worst, most_h
         h, log_bound = _trapezoid_counts(rho, log_tau + rho)
-        n = int(h.sum()) + h.size
-        if spent + n > _POLAR_MAX_EVALS:
-            raise NonConvergenceError(
-                f"no convergence on [0.0, {_CUTOFF}] within {_POLAR_MAX_EVALS} "
-                f"inner evaluations: {spent} spent, the next outer call needs "
-                f"{n} (tol={tol})"
-            )
-        spent += n
+        budget.spend(int(h.sum()) + h.size, 0.0, _CUTOFF, tol)
         worst = max(worst, float((log_bound - rho).max()))
         most_h = max(most_h, int(h.max()))
         return _radial(eta, rho) * _trapezoid(rho, h)
-
-    # pi argsinh(1) e^{-rho} bounds the theta integral, as in the Bessel route
-    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
 
     def inner():
         # the largest e^{-rho} B, and e^{-rho} (h + 9 rho + 9) <= h + 9, each
         # a maximum over the nodes, so neither depends on how they were split
         most = math.exp(worst) + math.pi * _EPS * (most_h + 9)
-        return _CUTOFF * _ASINH1 * most, spent
+        return _CUTOFF * _ASINH1 * most, budget.spent
 
-    return _solve(integrate_1d, f, (0.0, _CUTOFF), _PREFACTOR, tail, tol, inner=inner)
+    return _solve(
+        integrate_1d, f, (0.0, _CUTOFF), _PREFACTOR, _radial_tail(), tol, inner=inner
+    )
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -252,9 +251,9 @@ def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     def g(rho):
         return _radial(eta, rho) * bessel_j0(rho)
 
-    # |arcsinh(cos)| <= argsinh(1) and |J0| <= 1
-    tail = _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
-    return _solve(integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, tail, tol)
+    return _solve(
+        integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, _radial_tail(), tol
+    )
 
 
 def _harmonics(g, bound, q, p, s, pref, tol):

@@ -4,13 +4,11 @@ A nested Gauss-Kronrod (7, 15) pair drives panel subdivision for many
 problems in lockstep: each round evaluates every live panel of every problem
 in a few integrand calls, the way integrate_2d solves the inner integrals of
 each outer integrand call (up to _BLOCK outer panels) at once. Every call
-passes the problems as a column against a block of abscissae: one shared
-row in the first round, when every problem has the same panels, and one row
-of nodes per panel after, so a factor of one argument alone is computed
-once per row or column. Each problem's accepted panels are summed by
-math.fsum, which is correctly rounded, so a result does not depend on the
-order in which its panels were accepted. One evaluation budget covers a
-whole solve, nested solves included.
+has one shape: the nodes of at most _BLOCK panels, one row of 15 per panel,
+against the column of their problems. Each problem's accepted panels are
+summed by math.fsum, which is correctly rounded, so a result does not depend
+on the order in which its panels were accepted. One evaluation budget covers
+a whole solve, nested solves included.
 """
 
 from __future__ import annotations
@@ -74,8 +72,8 @@ _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
 _INNER_MIN_PANELS = 8
-# panels' worth of points (_BLOCK * 15) per integrand call in every round,
-# which bounds the integrand's temporaries
+# the panels (_BLOCK * 15 points) per integrand call, which bounds the
+# integrand's temporaries
 _BLOCK = 128
 
 
@@ -108,22 +106,18 @@ def _lockstep(
     """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
     the same tolerance.
 
-    Every integrand call is f(owners, x): a column of problem indices
-    against a block of abscissae, and f must return exactly the shape they
-    broadcast to, one row per owner. In the first round every problem has
-    the same panels, so the rows are problems and x is the one row of those
-    panels' abscissae; in later rounds the rows are panels and x holds each
-    panel's nodes, built block by block. A call covers at most _BLOCK
-    panels' worth of points (or one problem's min_panels, if more). Each
-    round then takes its K15, G7 and |f| sums once over the whole round, so
-    a panel's sums depend on its row's place in the round, not on _BLOCK;
-    everything elementwise runs once per round. A panel is accepted or
-    halved by its own K15-G7 gap, so a problem's panels do not depend on
-    the others. Returns each problem's value and error, each an fsum of its
-    accepted panels, which is correctly rounded in any order, and the total
-    evaluations. The round that would overrun the budget raises
-    NonConvergenceError before it is evaluated, and an integrand call that
-    returns a non-finite value raises it at once, naming its abscissa.
+    Every integrand call is f(owner, x): x holds the (k, 15) nodes of
+    k <= _BLOCK panels, one row per panel, owner the (k, 1) column of their
+    problems, and f must return exactly x's shape. Each round takes its K15,
+    G7 and |f| sums once over the whole round, so a panel's sums depend on
+    its row's place in the round, not on _BLOCK; everything elementwise runs
+    once per round. A panel is accepted or halved by its own K15-G7 gap, so
+    a problem's panels do not depend on the others. Returns each problem's
+    value and error, each an fsum of its accepted panels, which is correctly
+    rounded in any order, and the total evaluations. The round that would
+    overrun the budget raises NonConvergenceError before it is evaluated,
+    and an integrand call that returns a non-finite value raises it at once,
+    naming its abscissa.
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
@@ -133,40 +127,28 @@ def _lockstep(
     owner = np.repeat(np.arange(problems), min_panels)
     done: list[tuple[np.ndarray, ...]] = []
     nev = 0
-    first = True  # in round one every problem has the same panels
 
     while lo.size:
         budget.spend(lo.size * _NODES.size, a, b, tol)
         nev += lo.size * _NODES.size
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
-        if first:
-            owners, width = np.arange(problems), min_panels * _NODES.size
-            row = mid[:min_panels, None] + hw[:min_panels, None] * _NODES
-            row = row.reshape(1, width)
-        else:
-            owners, width = owner, _NODES.size
-        step = max(1, _BLOCK * _NODES.size // width)
-        fv = np.empty((owners.size, width))
-        for s in range(0, owners.size, step):
-            e = min(s + step, owners.size)
-            x = row if first else mid[s:e, None] + hw[s:e, None] * _NODES
-            v = np.asarray(f(owners[s:e, None], x), dtype=float)
+        fv = np.empty((lo.size, _NODES.size))
+        for s in range(0, lo.size, _BLOCK):
+            e = min(s + _BLOCK, lo.size)
+            x = mid[s:e, None] + hw[s:e, None] * _NODES
+            v = np.asarray(f(owner[s:e, None], x), dtype=float)
             # the exact shape, so a short result raises instead of broadcasting
-            if v.shape != (e - s, width):
+            if v.shape != x.shape:
                 raise ValueError(
-                    f"integrand returned shape {v.shape} for points of "
-                    f"shape {(e - s, width)}"
+                    f"integrand returned shape {v.shape} for points of shape {x.shape}"
                 )
             if not np.isfinite(v).all():
                 i, j = np.argwhere(~np.isfinite(v))[0]
                 raise NonConvergenceError(
-                    f"non-finite integrand value {v[i, j]} at "
-                    f"{np.broadcast_to(x, v.shape)[i, j]} on [{a}, {b}]"
+                    f"non-finite integrand value {v[i, j]} at {x[i, j]} on [{a}, {b}]"
                 )
             fv[s:e] = v
-        first = False
-        fv = fv.reshape(lo.size, _NODES.size)
 
         ik = (fv @ _WK15) * hw
         ig = (fv @ _WG7) * hw
@@ -236,11 +218,10 @@ def integrate_2d(
     The outer (x) axis adapts over inner (y) integrals. Each outer
     integrand call solves the inner integrals at all of its nodes together,
     each starting from 8 panels so mildly oscillatory integrands cannot fool
-    a single coarse panel. f is called as f(x_array, y_array) with arrays
-    that broadcast against each other (a column of x against the y nodes:
-    one shared row in an inner solve's first round, one row per panel
-    after) and must evaluate elementwise; a result that ignores an argument
-    is broadcast back to the points. The error estimate combines the outer
+    a single coarse panel. f is called as f(x_array, y_array) with a column
+    of x against the y nodes, one row per inner panel, and must evaluate
+    elementwise; a result that ignores an argument, a scalar included, is
+    broadcast back to the points. The error estimate combines the outer
     estimate with the worst inner estimate spread over the x span;
     evaluations counts integrand evaluations. max_evals bounds the whole
     solve: integrand evaluations plus outer nodes. The round that would
@@ -264,10 +245,10 @@ def integrate_2d(
         xs = x.ravel()
 
         def inner(owner: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            # an f that ignores an argument returns a smaller shape
-            shape = np.broadcast(owner, ys).shape
+            # an f that ignores an argument returns a smaller shape; a full
+            # one skips broadcast_to, whose few microseconds a call add up
             v = f(xs[owner], ys)
-            return v if np.shape(v) == shape else np.broadcast_to(v, shape)
+            return v if np.shape(v) == ys.shape else np.broadcast_to(v, ys.shape)
 
         values, errs, _ = _lockstep(
             inner, ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget

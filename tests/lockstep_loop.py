@@ -1,9 +1,9 @@
-"""quad._lockstep as it ran before the problems of a round-one solve were
-evaluated as a column against one shared row of abscissae, kept as a test
-oracle: every round builds each block's nodes panel by panel and passes the
-integrand flat arrays. A test rebinds quad._lockstep to this function to get,
-through the public routes, the bits each solve had then. It reads
-quad._BLOCK at call time, so both engines split the same way.
+"""quad._lockstep as it ran when it passed the integrand flat arrays, one
+owner per point, kept as a test oracle: every round builds each block's
+nodes panel by panel and reshapes the values it gets back. A test rebinds
+quad._lockstep to this function to get, through the public routes, the bits
+each solve had then. It reads quad._BLOCK at call time, so both engines
+split the same way.
 """
 
 import math

@@ -222,7 +222,7 @@ class TestPolarTrapezoid:
         phi_i_polar(RotationFamily(0.228))
         first, points[:] = points[0], []
         monkeypatch.setattr(phi, "_POLAR_MAX_EVALS", first)
-        with pytest.raises(NonConvergenceError, match=f"within {first} inner evaluations"):
+        with pytest.raises(NonConvergenceError, match=f"within {first} evaluations"):
             phi_i_polar(RotationFamily(0.228))
         assert points == [first]
 

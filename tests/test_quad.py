@@ -269,12 +269,13 @@ class TestIntegrate2d:
     @pytest.mark.parametrize(
         "f,truth",
         [(lambda x, y: np.exp(-y), 2.0 * (1.0 - math.exp(-3.0))),
-         (lambda x, y: np.cos(x), 3.0 * math.sin(2.0))],
-        ids=["ignores_x", "ignores_y"],
+         (lambda x, y: np.cos(x), 3.0 * math.sin(2.0)),
+         (lambda x, y: 1.5, 9.0)],
+        ids=["ignores_x", "ignores_y", "ignores_both"],
     )
     def test_integrand_may_ignore_an_argument(self, f, truth):
-        # an inner solve's first round passes x as a column and y as a row,
-        # so such an f returns shape (1, 120) or (k, 1) there
+        # an inner call passes x as a (k, 1) column against (k, 15) y nodes,
+        # so such an f returns shape (k, 15), (k, 1) or a scalar
         counted = CountingIntegrand(f)
         r = integrate_2d(counted, (0.0, 2.0), (0.0, 3.0), 1e-10)
         both = integrate_2d(lambda x, y: f(x, y) + 0.0 * (x + y),
@@ -297,8 +298,9 @@ class TestIntegrate2d:
 
 
     def test_budget_covers_whole_nested_solve(self):
-        # the polar Phi(i)/i integrand at eta 0.228 takes 34,200 integrand
-        # evaluations at 285 outer nodes; each 1D pass alone needs far less
+        # the polar double integral's integrand at eta 0.228, solved in 2D,
+        # takes 34,200 integrand evaluations at 285 outer nodes; each 1D
+        # pass alone needs far less
         f = CountingIntegrand(lambda rho, th: _integrand_polar(0.228, rho, th))
         for max_evals in (20_000, 34_484):
             f.points = 0
@@ -359,9 +361,9 @@ class TestLockstep:
         assert nev == solo_evals
 
     def test_inner_integrals_match_bessel_at_every_outer_node(self):
-        # one batched round of the polar route's inner solves: the 15 nodes of
-        # each of 8 outer panels on [0, 100], each an integral of
-        # cos(rho sin th) over [0, pi], which is pi J0(rho)
+        # the inner solves of one outer call of the polar double integral in
+        # 2D: the 15 nodes of each of 8 outer panels on [0, 100], each an
+        # integral of cos(rho sin th) over [0, pi], which is pi J0(rho)
         edges = np.linspace(0.0, 100.0, 9)
         mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         rho = (mid[:, None] + hw[:, None] * _NODES[None, :]).ravel()
@@ -418,9 +420,9 @@ class TestLockstep:
     @pytest.mark.parametrize("eta", [0.0, 0.228, 1.2, 5.0])
     @pytest.mark.parametrize("route", [phi_i_polar, phi_i_cartesian, phi_i_bessel])
     def test_bits_match_per_panel_loop(self, monkeypatch, route, eta, tol):
-        # the shared first round gives every solve the bits of the frozen
-        # engine that built each panel's nodes apart; cartesian at eta 5,
-        # tol 1e-12 compares its refusal
+        # every solve has the bits of the frozen engine that passes the
+        # integrand flat arrays; cartesian at eta 5, tol 1e-12 compares its
+        # refusal
         fam = RotationFamily(eta)
         got = _outcome(route, fam, tol)
         monkeypatch.setattr(signcorr.quad, "_lockstep", lockstep_loop.lockstep)
@@ -435,27 +437,30 @@ class TestLockstep:
             phi_i_cartesian(fam)
         assert str(got.value) == str(frozen.value)
 
-    def test_round_one_evaluates_problems_against_a_shared_row(self):
-        # every call passes a column of owners, at most _BLOCK panels' worth
-        # of points: in round one the problems against one row of the 8
-        # shared panels' abscissae, later one row of nodes per panel
-        shapes = []
+    def test_every_call_passes_an_owner_column_against_panel_nodes(self):
+        # round one included: 8 panels for each of _BLOCK // 8 + 3 problems,
+        # so its _BLOCK + 24 panels take a full block and then the rest
+        calls = []
 
         def f(owner, x):
-            shapes.append((owner.shape, x.shape))
+            calls.append((owner.copy(), x.copy()))
             return np.cos(30.0 * (1.0 + owner) * x)
 
-        per_call = _BLOCK // 8
-        _lockstep(f, 0.0, 10.0, 1e-12, per_call + 3, 8, _Budget(10**6))
-        row = 8 * _NODES.size
-        assert shapes[:2] == [((per_call, 1), (1, row)), ((3, 1), (1, row))]
-        later = shapes[2:]
-        assert later
-        for own, pts in later:
-            k = pts[0]
-            assert own == (k, 1) and pts == (k, _NODES.size) and k <= _BLOCK
-        # a round of more than _BLOCK panels is split into full blocks
-        assert any(pts[0] == _BLOCK for _, pts in later)
+        problems = _BLOCK // 8 + 3
+        _lockstep(f, 0.0, 10.0, 1e-12, problems, 8, _Budget(10**6))
+        for own, pts in calls:
+            k = pts.shape[0]
+            assert own.shape == (k, 1) and pts.shape == (k, _NODES.size)
+            assert k <= _BLOCK
+        (own1, pts1), (own2, pts2) = calls[:2]
+        owners = np.repeat(np.arange(problems), 8)[:, None]
+        assert np.array_equal(np.vstack([own1, own2]), owners)
+        edges = np.linspace(0.0, 10.0, 9)
+        mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        nodes = np.tile(mid[:, None] + hw[:, None] * _NODES, (problems, 1))
+        assert np.array_equal(np.vstack([pts1, pts2]), nodes)
+        # a later round of more than _BLOCK panels is split into full blocks
+        assert any(pts.shape[0] == _BLOCK for _, pts in calls[2:])
 
     def test_short_block_result_raises_instead_of_broadcasting(self, monkeypatch):
         # 15 values for a 2-panel block would fill both rows if broadcast
@@ -465,7 +470,7 @@ class TestLockstep:
                       3, 1, _Budget(10**6))
 
     def test_short_result_after_round_one_raises(self):
-        # later rounds pass (k, 15) nodes; one panel's 15 values would fill
+        # every call passes (k, 15) nodes; one panel's 15 values would fill
         # every row if broadcast
         calls = []
 
@@ -476,7 +481,7 @@ class TestLockstep:
 
         with pytest.raises(ValueError, match="integrand returned shape"):
             _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, _Budget(10**6))
-        assert calls == [(1, _NODES.size), (6, _NODES.size)]
+        assert calls == [(3, _NODES.size), (6, _NODES.size)]
 
     def test_non_finite_value_in_later_block_names_its_point(self, monkeypatch):
         # three problems on [0, 1], one panel each: blocks {0, 1} and {2};
