@@ -71,7 +71,8 @@ _WK15 = np.array(_WK_HALF[:0:-1] + _WK_HALF)
 _WG7 = np.array(_WG_HALF[:0:-1] + _WG_HALF)
 
 _EPS = float(np.finfo(float).eps)
-_INNER_MIN_PANELS = 8
+# every solve's first partition, for the reasons integrate_1d gives
+_MIN_PANELS = 8
 # the panels (_BLOCK * 15 points) per integrand call, which bounds the
 # integrand's temporaries
 _BLOCK = 128
@@ -100,7 +101,6 @@ def _lockstep(
     b: float,
     tol: float,
     problems: int,
-    min_panels: int,
     budget: _Budget,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Adaptive G7K15 on [a, b] for `problems` integrands at once, all to
@@ -121,10 +121,10 @@ def _lockstep(
     """
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
-    edges = np.linspace(a, b, min_panels + 1)
+    edges = np.linspace(a, b, _MIN_PANELS + 1)
     lo = np.tile(edges[:-1], problems)
     hi = np.tile(edges[1:], problems)
-    owner = np.repeat(np.arange(problems), min_panels)
+    owner = np.repeat(np.arange(problems), _MIN_PANELS)
     done: list[tuple[np.ndarray, ...]] = []
     nev = 0
 
@@ -187,11 +187,14 @@ def integrate_1d(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept a numpy array of abscissae and evaluate elementwise.
-    Subdivision stops per panel when the K15-G7 discrepancy drops below tol
-    scaled by the panel's share of the interval. A refinement round that
-    would take the evaluations past max_evals raises NonConvergenceError
-    instead, so evaluations never exceed max_evals; so does the first round
-    in which f returns a non-finite value.
+    The solve starts from 8 equal panels, 120 points in one call of f: one
+    coarse panel can fool the K15-G7 estimate, and a round costs far more
+    than its points. Subdivision stops per panel when the K15-G7
+    discrepancy drops below tol scaled by the panel's share of the interval.
+    A round that would take the evaluations past max_evals raises
+    NonConvergenceError instead, so evaluations never exceed max_evals and
+    a max_evals below 120 is refused before any point is evaluated; so does
+    the first round in which f returns a non-finite value.
     """
     a, b = float(a), float(b)
     check_bracket(a, b, "<=")
@@ -200,7 +203,7 @@ def integrate_1d(
         return QuadResult(0.0, 0.0, 0)
     value, err, nev = _lockstep(
         lambda owner, x: np.reshape(f(x.ravel()), x.shape),
-        a, b, tol, 1, 1, _Budget(max_evals),
+        a, b, tol, 1, _Budget(max_evals),
     )
     return QuadResult(float(value[0]), float(err[0]), nev)
 
@@ -215,10 +218,10 @@ def integrate_2d(
 ) -> QuadResult:
     """Integrate f(x, y) over a rectangle by iterated 1D quadrature.
 
-    The outer (x) axis adapts over inner (y) integrals. Each outer
-    integrand call solves the inner integrals at all of its nodes together,
-    each starting from 8 panels so mildly oscillatory integrands cannot fool
-    a single coarse panel. f is called as f(x_array, y_array) with a column
+    The outer (x) axis adapts over inner (y) integrals, and, as in
+    integrate_1d, the outer solve and each inner one start from 8 equal
+    panels. Each outer integrand call solves the inner integrals at all of
+    its nodes together. f is called as f(x_array, y_array) with a column
     of x against the y nodes, one row per inner panel, and must evaluate
     elementwise; a result that ignores an argument, a scalar included, is
     broadcast back to the points. The error estimate combines the outer
@@ -250,14 +253,10 @@ def integrate_2d(
             v = f(xs[owner], ys)
             return v if np.shape(v) == ys.shape else np.broadcast_to(v, ys.shape)
 
-        values, errs, _ = _lockstep(
-            inner, ya, yb, inner_tol, xs.size, _INNER_MIN_PANELS, budget
-        )
+        values, errs, _ = _lockstep(inner, ya, yb, inner_tol, xs.size, budget)
         worst_inner = max(worst_inner, float(errs.max()))
         return values.reshape(x.shape)
 
-    value, outer_err, nodes = _lockstep(
-        outer_integrand, xa, xb, tol / 2.0, 1, 1, budget
-    )
+    value, outer_err, nodes = _lockstep(outer_integrand, xa, xb, tol / 2.0, 1, budget)
     err = float(outer_err[0]) + span_x * worst_inner
     return QuadResult(float(value[0]), err, budget.spent - nodes)

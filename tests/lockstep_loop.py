@@ -2,8 +2,8 @@
 owner per point, kept as a test oracle: every round builds each block's
 nodes panel by panel and reshapes the values it gets back. A test rebinds
 quad._lockstep to this function to get, through the public routes, the bits
-each solve had then. It reads quad._BLOCK at call time, so both engines
-split the same way.
+each solve had then. It starts from the engine's _MIN_PANELS panels and
+reads quad._BLOCK at call time, so both engines split the same way.
 """
 
 import math
@@ -12,7 +12,15 @@ from typing import Callable
 import numpy as np
 
 from signcorr import quad
-from signcorr.quad import _EPS, _NODES, _WG7, _WK15, NonConvergenceError, _Budget
+from signcorr.quad import (
+    _EPS,
+    _MIN_PANELS,
+    _NODES,
+    _WG7,
+    _WK15,
+    NonConvergenceError,
+    _Budget,
+)
 
 
 def lockstep(
@@ -21,15 +29,14 @@ def lockstep(
     b: float,
     tol: float,
     problems: int,
-    min_panels: int,
     budget: _Budget,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     span = b - a
     width_floor = 100.0 * _EPS * max(abs(a), abs(b), 1.0)
-    edges = np.linspace(a, b, min_panels + 1)
+    edges = np.linspace(a, b, _MIN_PANELS + 1)
     lo = np.tile(edges[:-1], problems)
     hi = np.tile(edges[1:], problems)
-    owner = np.repeat(np.arange(problems), min_panels)
+    owner = np.repeat(np.arange(problems), _MIN_PANELS)
     done: list[tuple[np.ndarray, ...]] = []
     nev = 0
 

@@ -643,6 +643,19 @@ class TestSubprocessEntryPoints:
         # 0.228 is not exactly representable; .17g exposes the stored double
         assert '"eta": 0.22800000000000001' in proc.stdout
 
+    def test_readme_verify_example_is_what_the_command_prints(self):
+        # the README wraps the report's one line; each wrap starts with the
+        # space that followed it, so dropping the newlines restores the bytes
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("$ signcorr verify --eta 0.228\n", 1)[1]
+        example = block.split("\n\n", 1)[0].replace("\n", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "signcorr", "verify", "--eta", "0.228"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (example + "\n").encode()
+
 
 # a cold launch of `python -m signcorr`, which writes the names of the modules
 # it loaded to the file given as its first argument

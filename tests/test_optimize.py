@@ -146,7 +146,7 @@ class TestGridScan:
             return integrate_1d(*args, **kwargs)
 
         monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
-        assert phi_i_bessel(RotationFamily(0.228)).evaluations == 285
+        assert phi_i_bessel(RotationFamily(0.228)).evaluations == 300
         assert len(calls) == 1
         calls.clear()
         grid_scan(0.0, 0.5, 50)

@@ -23,7 +23,7 @@ from signcorr import (
 )
 from signcorr.quad import (
     _BLOCK,
-    _INNER_MIN_PANELS,
+    _MIN_PANELS,
     _NODES,
     _WG7,
     _WK15,
@@ -40,11 +40,12 @@ PI_OVER_SQRT2 = 2.2214414690791831235
 _EPS = float(np.finfo(float).eps)
 
 
-def single_problem_adaptive(f, a, b, tol, min_panels, max_evals):
+def single_problem_adaptive(f, a, b, tol, max_evals):
     """The one-problem G7K15 loop that the lockstep engine replaced, kept
-    verbatim as an oracle: integrate_1d must reproduce it bit for bit."""
+    as an oracle, from the engine's first partition of _MIN_PANELS panels:
+    integrate_1d must reproduce it bit for bit."""
     span = b - a
-    edges = np.linspace(a, b, min_panels + 1)
+    edges = np.linspace(a, b, _MIN_PANELS + 1)
     panels = np.column_stack([edges[:-1], edges[1:]])
     done_pos: list[float] = []
     done_val: list[float] = []
@@ -89,6 +90,14 @@ def single_problem_adaptive(f, a, b, tol, min_panels, max_evals):
     value = math.fsum(done_val[i] for i in order)
     err = math.fsum(done_err[i] for i in order)
     return value, err, nev
+
+
+def k15_nodes(a, b):
+    """The (8, 15) K15 nodes of the 8 equal panels of [a, b], as the engine
+    computes them."""
+    edges = np.linspace(a, b, 9)
+    mid, hw = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + hw[:, None] * _NODES
 
 
 class CountingIntegrand:
@@ -186,16 +195,32 @@ class TestIntegrate1d:
         f = CountingIntegrand(lambda x: np.where(x > 0.5, np.nan, 1.0))
         with pytest.raises(NonConvergenceError, match="non-finite integrand value nan at"):
             integrate_1d(f, 0.0, 1.0, 1e-9)
-        assert f.points == _NODES.size
+        assert f.points == _MIN_PANELS * _NODES.size
 
     def test_non_finite_value_in_later_round_names_its_point(self):
-        # NaN past 0.999 is first met in round 4, in the last of its 8
+        # NaN past 0.9995 is first met in round 2, in the last of its 16
         # panels, so the message must name that panel's node
-        f = CountingIntegrand(lambda x: np.where(x > 0.999, np.nan, np.cos(50.0 * x)))
-        expected = "non-finite integrand value nan at 0.9994659606950508 on [0.0, 1.0]"
+        f = CountingIntegrand(lambda x: np.where(x > 0.9995, np.nan, np.cos(50.0 * x)))
+        expected = "non-finite integrand value nan at 0.9997329803475254 on [0.0, 1.0]"
         with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
             integrate_1d(f, 0.0, 1.0, 1e-12)
-        assert f.points == (1 + 2 + 4 + 8) * _NODES.size
+        assert f.points == (8 + 16) * _NODES.size
+
+    def test_first_round_is_eight_equal_panels(self):
+        # one call takes the K15 nodes of linspace(a, b, 9); a budget below
+        # that round's 120 points is refused before f sees any
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.cos(x)
+
+        integrate_1d(f, -1.0, 3.0, 1e-9)
+        assert np.array_equal(seen[0], k15_nodes(-1.0, 3.0).ravel())
+        seen.clear()
+        with pytest.raises(NonConvergenceError, match="the next round needs 120"):
+            integrate_1d(f, -1.0, 3.0, 1e-9, max_evals=119)
+        assert seen == []
 
     def test_f_receives_flat_arrays(self):
         # the engine passes a column against a block; integrate_1d's f still
@@ -223,7 +248,8 @@ class TestIntegrate1d:
         with pytest.raises(ValueError, match="hi - lo finite"):
             integrate_1d(lambda x: np.ones_like(x), -1e308, 1e308, 1e-9)
 
-    @pytest.mark.parametrize("max_evals", [15, 100, 1000, 3000])
+    # 200 lies between one round (120 points) and two, so it refuses round 2
+    @pytest.mark.parametrize("max_evals", [15, 100, 200, 1000, 3000])
     def test_budget_never_exceeded(self, max_evals):
         f = CountingIntegrand(lambda x: np.cos(300.0 * x) * np.exp(-x))
         try:
@@ -284,6 +310,24 @@ class TestIntegrate2d:
         assert (r.value, r.evaluations) == (both.value, both.evaluations)
         assert r.evaluations == counted.points
 
+    def test_outer_first_round_is_eight_equal_panels(self):
+        # the outer round's 120 nodes are the K15 nodes of linspace(xa, xb, 9),
+        # and each node's inner solve starts from those of linspace(ya, yb, 9);
+        # their first inner round, 8 panels a node, fills the first calls
+        xs, ys = [], []
+
+        def f(x, y):
+            xs.append(np.broadcast_to(x, y.shape)[:, 0].copy())
+            ys.append(y.copy())
+            return np.cos(x * y)
+
+        integrate_2d(f, (-1.0, 3.0), (0.0, 2.0), 1e-9)
+        rows = 120 * 8
+        assert np.array_equal(np.concatenate(xs)[:rows],
+                              np.repeat(k15_nodes(-1.0, 3.0).ravel(), 8))
+        assert np.array_equal(np.concatenate(ys)[:rows],
+                              np.tile(k15_nodes(0.0, 2.0), (120, 1)))
+
     def test_rejects_inverted_ranges(self):
         with pytest.raises(ValueError):
             integrate_2d(lambda x, y: x + y, (1.0, 0.0), (0.0, 1.0), 1e-10)
@@ -299,10 +343,10 @@ class TestIntegrate2d:
 
     def test_budget_covers_whole_nested_solve(self):
         # the polar double integral's integrand at eta 0.228, solved in 2D,
-        # takes 34,200 integrand evaluations at 285 outer nodes; each 1D
+        # takes 36,000 integrand evaluations at 300 outer nodes; each 1D
         # pass alone needs far less
         f = CountingIntegrand(lambda rho, th: _integrand_polar(0.228, rho, th))
-        for max_evals in (20_000, 34_484):
+        for max_evals in (20_000, 36_299):
             f.points = 0
             with pytest.raises(NonConvergenceError):
                 integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
@@ -310,8 +354,8 @@ class TestIntegrate2d:
             assert f.points <= max_evals
         f.points = 0
         r = integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
-                         max_evals=34_200 + 285)
-        assert r.evaluations == f.points == 34_200
+                         max_evals=36_000 + 300)
+        assert r.evaluations == f.points == 36_000
 
 
 class TestLockstep:
@@ -339,7 +383,7 @@ class TestLockstep:
         monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
         route(RotationFamily(eta), *args)
         ((f, a, b, tol, r),) = calls
-        value, err, nev = single_problem_adaptive(f, a, b, tol, 1, 10**6)
+        value, err, nev = single_problem_adaptive(f, a, b, tol, 10**6)
         assert (r.value, r.error_estimate, r.evaluations) == (value, err, nev)
 
     def test_batch_agrees_with_solo_solves(self):
@@ -350,8 +394,7 @@ class TestLockstep:
         def f(owner, x):
             return np.exp(-rate[owner] * x) * np.cos(freq[owner] * x)
 
-        values, errs, nev = _lockstep(f, 0.0, 20.0, tol, rate.size, 1,
-                                      _Budget(10**6))
+        values, errs, nev = _lockstep(f, 0.0, 20.0, tol, rate.size, _Budget(10**6))
         solo_evals = 0
         for i in range(rate.size):
             solo = integrate_1d(lambda x: f(np.full(x.shape, i), x), 0.0, 20.0, tol)
@@ -364,13 +407,11 @@ class TestLockstep:
         # the inner solves of one outer call of the polar double integral in
         # 2D: the 15 nodes of each of 8 outer panels on [0, 100], each an
         # integral of cos(rho sin th) over [0, pi], which is pi J0(rho)
-        edges = np.linspace(0.0, 100.0, 9)
-        mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        rho = (mid[:, None] + hw[:, None] * _NODES[None, :]).ravel()
+        rho = k15_nodes(0.0, 100.0).ravel()
         inner_tol = 1e-9 / (2.0 * 100.0)
         values, errs, _ = _lockstep(
             lambda owner, th: np.cos(rho[owner] * np.sin(th)),
-            0.0, math.pi, inner_tol, rho.size, _INNER_MIN_PANELS, _Budget(10**7),
+            0.0, math.pi, inner_tol, rho.size, _Budget(10**7),
         )
         exact = math.pi * bessel_j0(rho)
         assert np.all(np.abs(values - exact) <= inner_tol)
@@ -404,7 +445,7 @@ class TestLockstep:
         self, monkeypatch
     ):
         # at eta 1.2, tol 1e-12, _BLOCK = 1 gives the error estimate
-        # 0x1.9cc366f5a8aa2p-43 against 0x1.9cc366f5a8ab5p-43: each outer
+        # 0x1.9cfc6e64d75d2p-43 against 0x1.9cfc6e64d75e4p-43: each outer
         # call solves its inner integrals as one batch, so the block decides
         # which inner rows share a round, and dgemv's sum of a row depends
         # on its place there
@@ -447,7 +488,7 @@ class TestLockstep:
             return np.cos(30.0 * (1.0 + owner) * x)
 
         problems = _BLOCK // 8 + 3
-        _lockstep(f, 0.0, 10.0, 1e-12, problems, 8, _Budget(10**6))
+        _lockstep(f, 0.0, 10.0, 1e-12, problems, _Budget(10**6))
         for own, pts in calls:
             k = pts.shape[0]
             assert own.shape == (k, 1) and pts.shape == (k, _NODES.size)
@@ -455,9 +496,7 @@ class TestLockstep:
         (own1, pts1), (own2, pts2) = calls[:2]
         owners = np.repeat(np.arange(problems), 8)[:, None]
         assert np.array_equal(np.vstack([own1, own2]), owners)
-        edges = np.linspace(0.0, 10.0, 9)
-        mid, hw = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        nodes = np.tile(mid[:, None] + hw[:, None] * _NODES, (problems, 1))
+        nodes = np.tile(k15_nodes(0.0, 10.0), (problems, 1))
         assert np.array_equal(np.vstack([pts1, pts2]), nodes)
         # a later round of more than _BLOCK panels is split into full blocks
         assert any(pts.shape[0] == _BLOCK for _, pts in calls[2:])
@@ -467,7 +506,7 @@ class TestLockstep:
         monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
         with pytest.raises(ValueError):
             _lockstep(lambda owner, x: np.ones(_NODES.size), 0.0, 1.0, 1e-9,
-                      3, 1, _Budget(10**6))
+                      3, _Budget(10**6))
 
     def test_short_result_after_round_one_raises(self):
         # every call passes (k, 15) nodes; one panel's 15 values would fill
@@ -480,27 +519,28 @@ class TestLockstep:
             return v if len(calls) == 1 else v[0]
 
         with pytest.raises(ValueError, match="integrand returned shape"):
-            _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, _Budget(10**6))
-        assert calls == [(3, _NODES.size), (6, _NODES.size)]
+            _lockstep(f, 0.0, 10.0, 1e-12, 3, _Budget(10**6))
+        assert calls == [(24, _NODES.size), (48, _NODES.size)]
 
     def test_non_finite_value_in_later_block_names_its_point(self, monkeypatch):
-        # three problems on [0, 1], one panel each: blocks {0, 1} and {2};
-        # problem 2 is NaN past 0.5, so the second call raises
+        # three problems on [0, 1], 8 panels each, two panels a block;
+        # problem 2 is NaN past 0.5, first met in its fifth panel [0.5, 0.625],
+        # so the eleventh call raises
         monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
         f = CountingIntegrand(
             lambda owner, x: np.where((owner == 2) & (x > 0.5), np.nan, x)
         )
-        x = 0.5 + 0.5 * _NODES
-        expected = f"non-finite integrand value nan at {x[x > 0.5][0]} on [0.0, 1.0]"
+        x = 0.5625 + 0.0625 * _NODES
+        expected = f"non-finite integrand value nan at {x[0]} on [0.0, 1.0]"
         with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
-            _lockstep(f, 0.0, 1.0, 1e-9, 3, 1, _Budget(10**6))
-        assert f.points == 3 * _NODES.size
+            _lockstep(f, 0.0, 1.0, 1e-9, 3, _Budget(10**6))
+        assert f.points == (8 + 8 + 6) * _NODES.size
 
     def test_budget_checked_before_each_round(self):
         f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x) + 0.0 * owner)
         budget = _Budget(400)
         with pytest.raises(NonConvergenceError, match="within 400 evaluations"):
-            _lockstep(f, 0.0, 10.0, 1e-12, 3, 1, budget)
+            _lockstep(f, 0.0, 10.0, 1e-12, 3, budget)
         assert f.points == budget.spent <= 400
 
 
