@@ -16,7 +16,6 @@ import argparse
 import importlib
 import json
 import math
-import os
 import re
 import sys
 
@@ -26,7 +25,6 @@ from ._common import (
     check_grid, check_order, check_t, check_tol,
 )
 
-_FORMATS = ("json", "csv", "text")
 # argparse reads a token as a flag's negative value, not an option, only if it
 # matches a pattern that has no exponent, so `--eta -2e-1` failed with
 # "expected one argument"; every subparser takes this one for any float literal
@@ -59,11 +57,6 @@ def _text_value(v) -> str:
     return _json_value(v)
 
 
-def _refuse_csv(fmt: str) -> None:
-    if fmt == "csv":
-        raise ValueError("csv output is only available for the sweep command")
-
-
 def _report(command: str, payload: dict, fmt: str) -> str:
     """The report of every command but sweep: its payload between the command
     name and the version, as JSON or as one `key = value` line per field."""
@@ -80,17 +73,7 @@ def _report(command: str, payload: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _resolve_format(flag: str | None) -> str:
-    fmt = flag or os.environ.get("SIGNCORR_FORMAT", "json")
-    if fmt not in _FORMATS:
-        raise ValueError(
-            f"unknown output format {fmt!r}, expected one of {_FORMATS}"
-        )
-    return fmt
-
-
 def _cmd_verify(args, fmt: str):
-    _refuse_csv(fmt)
     check_finite("eta", args.eta)
     check_tol("tol", args.tol)
     from .phi import RotationFamily, verify_theorem
@@ -133,7 +116,6 @@ def _cmd_sweep(args, fmt: str):
 
 
 def _cmd_series(args, fmt: str):
-    _refuse_csv(fmt)
     check_finite("eta", args.eta)
     check_tol("tol", args.tol)
     check_order(args.order)
@@ -182,14 +164,14 @@ def _mc_params(args) -> dict:
 
 
 def _mc_reference(args) -> float | None:
-    """The quadrature or closed-form value the estimate targets, or None where
-    there is none: rotation3 at |t| = 1, outside phi_real_t."""
-    from .phi import THRESHOLD, RotationFamily, phi_i_bessel, phi_real_t
+    """The Fourier-Laplace sum or closed form the estimate targets, or None
+    where there is none: rotation3 at |t| = 1, outside phi_real_t."""
+    from .phi import THRESHOLD, RotationFamily, phi_i_fourier, phi_real_t
 
     if args.target == "phi-i":
         if args.family == "identity1":
             return THRESHOLD
-        return phi_i_bessel(RotationFamily(args.eta)).value
+        return phi_i_fourier(RotationFamily(args.eta)).value
     if args.family == "identity1":
         return 2.0 / math.pi * math.asin(args.t)
     if abs(args.t) == 1:
@@ -212,10 +194,8 @@ def _cmd_mc(args, fmt: str):
     # every submodule
     mc = importlib.import_module(".mc", __package__)
     family = getattr(mc, args.family)(*params.values())
-    # before sampling, so a reference that fails to converge (exit 3) or a csv
-    # request (exit 2) wastes no draws
+    # before sampling, so a reference that fails to converge wastes no draws
     reference = _mc_reference(args)
-    _refuse_csv(fmt)
     if args.target == "phi-t":
         est = mc.estimate_phi_t(family, args.t, args.samples, args.seed)
     else:
@@ -235,7 +215,6 @@ def _cmd_mc(args, fmt: str):
 
 
 def _cmd_optimize(args, fmt: str):
-    _refuse_csv(fmt)
     check_bracket(args.lo, args.hi, "<")
     check_tol("xtol", args.xtol)
     check_tol("tol", args.tol)
@@ -261,11 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run):
+    def common(p, run, formats=("json", "text")):
         p.set_defaults(run=run)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--format", choices=_FORMATS, default=None,
-                       help="output format (default: SIGNCORR_FORMAT or json)")
+        p.add_argument("--format", choices=formats, default="json",
+                       help="output format (default: json)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report to PATH instead of stdout")
 
@@ -280,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p, _cmd_sweep)
+    common(p, _cmd_sweep, ("json", "csv", "text"))
 
     p = sub.add_parser("series", help="Taylor coefficients, reversion, alternation")
     p.add_argument("--eta", type=float, required=True)
@@ -310,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, text = args.run(args, _resolve_format(args.format))
+        code, text = args.run(args, args.format)
     except ValueError as exc:
         print(f"signcorr: error: {exc}", file=sys.stderr)
         return 2

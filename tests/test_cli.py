@@ -59,10 +59,13 @@ class TestVerifyCommand:
         assert "margin = " in out
 
     def test_csv_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--eta", "0.228",
-                                        "--format", "csv"])
-        assert code == 2
-        assert "csv" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--eta", "0.228", "--format", "csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "signcorr verify: error: argument --format: invalid choice: 'csv' "
+            "(choose from 'json', 'text')"
+        )
 
     def test_non_finite_eta_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--eta", "nan"])
@@ -220,8 +223,9 @@ class TestMcCommand:
         assert "reference" not in report
         assert "z_score" not in report
 
-    # phi-i: phi_i_bessel at eta 5e6 passes its evaluation budget; phi-t:
-    # phi_real_t at 1 - |t| = 1e-10 would pass its 2^20-sample budget
+    # phi-i: phi_i_fourier's Laplace factor overflows at eta 5e306; phi-t:
+    # phi_real_t at eta 5e6 and 1 - |t| = 1e-10 would pass its 2^20-sample
+    # budget
     @pytest.mark.parametrize(
         "target", [[], ["--target", "phi-t", "--t", "0.9999999999"]]
     )
@@ -234,7 +238,7 @@ class TestMcCommand:
         monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
         monkeypatch.setattr("signcorr.mc.estimate_phi_t", never)
         code, out, err = run_cli(capsys, [
-            "mc", "--family", "rotation3", "--eta", "5e6",
+            "mc", "--family", "rotation3", "--eta", "5e6" if target else "5e306",
             "--samples", "2000000", "--seed", "1", *target,
         ])
         assert code == 3
@@ -248,29 +252,41 @@ class TestMcCommand:
 
         monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
         monkeypatch.setattr("signcorr.mc.estimate_phi_t", never)
-        code, out, err = run_cli(capsys, [
-            "mc", "--family", "rotation3", "--eta", "0.228",
-            "--samples", "4000000", "--seed", "42", "--format", "csv", *target,
-        ])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mc", "--family", "rotation3", "--eta", "0.228",
+                "--samples", "4000000", "--seed", "42", "--format", "csv", *target,
+            ])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == (
-            "signcorr: error: csv output is only available for the sweep command\n"
+        assert err.splitlines()[-1] == (
+            "signcorr mc: error: argument --format: invalid choice: 'csv' "
+            "(choose from 'json', 'text')"
         )
 
-    def test_failed_reference_under_csv_still_exits_three(self, capsys, monkeypatch):
-        # the reference comes first, so a csv request does not mask its failure
+    def test_csv_refused_before_reference(self, capsys, monkeypatch):
+        # argparse refuses csv, so a reference that would fail is not reached
         def never(*args):
-            raise AssertionError("sampled although the reference failed")
+            raise AssertionError("computed a reference although csv is refused")
 
-        monkeypatch.setattr("signcorr.mc.estimate_phi_i", never)
-        code, out, err = run_cli(capsys, [
-            "mc", "--family", "rotation3", "--eta", "5e6",
-            "--samples", "2000000", "--seed", "1", "--format", "csv",
-        ])
-        assert code == 3
-        assert out == ""
-        assert "non-convergence" in err
+        monkeypatch.setattr("signcorr.phi.phi_i_fourier", never)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "mc", "--family", "rotation3", "--eta", "5e306",
+                "--samples", "2000000", "--seed", "1", "--format", "csv",
+            ])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_reference_is_the_fourier_laplace_sum(self, capsys):
+        from signcorr.phi import RotationFamily, phi_i_fourier
+
+        code, out, _ = run_cli(capsys, ["mc", "--family", "rotation3", "--eta", "0.228",
+                                        "--samples", "1000", "--seed", "42"])
+        assert code == 0
+        reference = phi_i_fourier(RotationFamily(0.228)).value
+        assert json.loads(out)["reference"] == reference
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["mc", "--family", "rotation3", "--eta", "0.228",
@@ -321,33 +337,55 @@ class TestOptimizeCommand:
 
 
 class TestFormatsAndEnvironment:
+    # the CLI reads no environment variable: SIGNCORR_FORMAT changes no
+    # stdout byte and no exit code, and --format alone picks the format
     def test_env_default_format(self, capsys, monkeypatch):
+        monkeypatch.delenv("SIGNCORR_FORMAT", raising=False)
+        argv = ["verify", "--eta", "0.228"]
+        _, plain, _ = run_cli(capsys, argv)
         monkeypatch.setenv("SIGNCORR_FORMAT", "text")
-        _, out, _ = run_cli(capsys, ["verify", "--eta", "0.228"])
-        assert out.startswith("command = verify")
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGNCORR_FORMAT", "text")
-        _, out, _ = run_cli(capsys, ["verify", "--eta", "0.228",
-                                     "--format", "json"])
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, plain)
         json.loads(out)
 
+    def test_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.delenv("SIGNCORR_FORMAT", raising=False)
+        for fmt in ("json", "text"):
+            argv = ["verify", "--eta", "0.228", "--format", fmt]
+            _, plain, _ = run_cli(capsys, argv)
+            for value in ("text", "json", "csv"):
+                monkeypatch.setenv("SIGNCORR_FORMAT", value)
+                code, out, _ = run_cli(capsys, argv)
+                monkeypatch.delenv("SIGNCORR_FORMAT")
+                assert (code, out) == (0, plain)
+
     def test_bad_env_format_exits_two(self, capsys, monkeypatch):
+        # a bad format exits 2 only when it is given as --format
+        monkeypatch.delenv("SIGNCORR_FORMAT", raising=False)
+        argv = ["verify", "--eta", "0.228"]
+        _, plain, _ = run_cli(capsys, argv)
         monkeypatch.setenv("SIGNCORR_FORMAT", "yaml")
-        code, _, err = run_cli(capsys, ["verify", "--eta", "0.228"])
-        assert code == 2
-        assert "yaml" in err
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, plain)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "yaml"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "signcorr verify: error: argument --format: invalid choice: "
+            "'yaml' (choose from 'json', 'text')")
 
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         # SIGNCORR_THREADS is ignored, whatever its value
-        argv = ["sweep", "--lo", "0", "--hi", "0.4", "--steps", "6"]
         monkeypatch.delenv("SIGNCORR_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, argv)
-        for value in ("3", "many"):
-            monkeypatch.setenv("SIGNCORR_THREADS", value)
-            code, out, _ = run_cli(capsys, argv)
-            assert code == 0
-            assert out == serial
+        for argv in (["sweep", "--lo", "0", "--hi", "0.4", "--steps", "6"],
+                     ["verify", "--eta", "0.228"]):
+            _, plain, _ = run_cli(capsys, argv)
+            for value in ("3", "many"):
+                monkeypatch.setenv("SIGNCORR_THREADS", value)
+                code, out, _ = run_cli(capsys, argv)
+                monkeypatch.delenv("SIGNCORR_THREADS")
+                assert (code, out) == (0, plain)
 
     def test_out_writes_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -394,7 +432,8 @@ USAGE_ERRORS = [
     (["optimize", "--lo", "0.1", "--hi", "0.4", "--xtol", "inf"],
      "signcorr: error: xtol must be positive and finite, got inf"),
     (["verify", "--eta", "0.228", "--format", "csv"],
-     "signcorr: error: csv output is only available for the sweep command"),
+     "signcorr verify: error: argument --format: invalid choice: 'csv' "
+     "(choose from 'json', 'text')"),
     (["verify", "--eta", "nan"],
      "signcorr: error: eta must be finite, got nan"),
     (["sweep", "--lo", "1", "--hi", "0"],
@@ -677,60 +716,61 @@ def launch(tmp_path, argv):
     return proc, set(modules.read_text().split())
 
 
-# (argv, environment, exit code, a line of what the launch prints)
+# (argv, exit code, a line of what the launch prints)
 ANSWERED_WITHOUT_NUMPY = [
-    (["verify", "--eta", "nan"], {}, 2,
+    (["verify", "--eta", "nan"], 2,
      "signcorr: error: eta must be finite, got nan"),
-    (["verify", "--eta", "abc"], {}, 2,
+    (["verify", "--eta", "abc"], 2,
      "signcorr verify: error: argument --eta: invalid float value: 'abc'"),
-    (["verify", "--method", "foo"], {}, 2,
+    (["verify", "--method", "foo"], 2,
      "signcorr verify: error: argument --method: invalid choice: 'foo'"),
-    ([], {}, 2, "signcorr: error: the following arguments are required: command"),
-    (["--version"], {}, 0, __version__),
-    (["--help"], {}, 0,
+    ([], 2, "signcorr: error: the following arguments are required: command"),
+    (["--version"], 0, __version__),
+    (["--help"], 0,
      "usage: signcorr [-h] [--version] {verify,sweep,series,mc,optimize} ..."),
-    (["mc", "--help"], {}, 0,
+    (["mc", "--help"], 0,
      "usage: signcorr mc [-h] --family {identity1,rotation3} [--eta ETA] [--t T]"),
-    (["verify", "--eta", "0.228"], {"SIGNCORR_FORMAT": "yaml"}, 2,
-     "signcorr: error: unknown output format 'yaml', expected one of "
-     "('json', 'csv', 'text')"),
-    (["mc", "--family", "rotation3", "--seed", "1"], {}, 2,
+    (["mc", "--family", "rotation3", "--seed", "1"], 2,
      "signcorr: error: rotation3 requires --eta"),
     # the library's own rules, checked by the same functions before it loads
-    (["series", "--eta", "0.228", "--order", "4"], {}, 2,
+    (["series", "--eta", "0.228", "--order", "4"], 2,
      "signcorr: error: order must be an odd integer in [1, 15], got 4"),
-    (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"], {}, 2,
+    (["sweep", "--lo", "0", "--hi", "0.5", "--steps", "1000000000000000"], 2,
      "signcorr: error: steps must be an integer in [0, 1048576), got 1000000000000000"),
-    (["sweep", "--lo", "-1e308", "--hi", "1e308"], {}, 2,
+    (["sweep", "--lo", "-1e308", "--hi", "1e308"], 2,
      "signcorr: error: need finite lo <= hi, hi - lo finite, got [-1e+308, 1e+308]"),
-    (["mc", "--family", "identity1", "--samples", "1073741825", "--seed", "1"], {}, 2,
+    (["mc", "--family", "identity1", "--samples", "1073741825", "--seed", "1"], 2,
      "signcorr: error: samples must be at most 2**30, got 1073741825"),
     (["mc", "--family", "identity1", "--samples", "1000",
-      "--seed", "18446744073709551616"], {}, 2,
+      "--seed", "18446744073709551616"], 2,
      "signcorr: error: seed must be an integer in [0, 2**64), got 18446744073709551616"),
-    (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"], {}, 2,
+    (["mc", "--family", "rotation3", "--eta", "inf", "--seed", "1"], 2,
      "signcorr: error: eta must be finite, got inf"),
-    (["verify", "--eta", "0.228", "--tol", "inf"], {}, 2,
+    (["verify", "--eta", "0.228", "--tol", "inf"], 2,
      "signcorr: error: tol must be positive and finite, got inf"),
-    (["verify", "--eta", "0.228", "--format", "csv"], {}, 2,
-     "signcorr: error: csv output is only available for the sweep command"),
-    (["series", "--eta", "0.228", "--format", "csv"], {}, 2,
-     "signcorr: error: csv output is only available for the sweep command"),
-    (["optimize", "--lo", "0.1", "--hi", "0.4", "--format", "csv"], {}, 2,
-     "signcorr: error: csv output is only available for the sweep command"),
+    (["verify", "--eta", "0.228", "--format", "csv"], 2,
+     "signcorr verify: error: argument --format: invalid choice: 'csv' "
+     "(choose from 'json', 'text')"),
+    (["series", "--eta", "0.228", "--format", "csv"], 2,
+     "signcorr series: error: argument --format: invalid choice: 'csv' "
+     "(choose from 'json', 'text')"),
+    (["optimize", "--lo", "0.1", "--hi", "0.4", "--format", "csv"], 2,
+     "signcorr optimize: error: argument --format: invalid choice: 'csv' "
+     "(choose from 'json', 'text')"),
+    (["mc", "--family", "identity1", "--seed", "1", "--format", "csv"], 2,
+     "signcorr mc: error: argument --format: invalid choice: 'csv' "
+     "(choose from 'json', 'text')"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,env,expected,line", ANSWERED_WITHOUT_NUMPY,
+    "argv,expected,line", ANSWERED_WITHOUT_NUMPY,
     ids=[" ".join(argv) or "no command" for argv, *_ in ANSWERED_WITHOUT_NUMPY],
 )
-def test_answered_before_numpy_loads(capsys, monkeypatch, tmp_path, argv, env,
+def test_answered_before_numpy_loads(capsys, monkeypatch, tmp_path, argv,
                                      expected, line):
     # argparse wraps usage lines to the terminal's width
     monkeypatch.setenv("COLUMNS", "80")
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     proc, modules = launch(tmp_path, argv)
     try:
         code = main(argv)
