@@ -58,10 +58,15 @@ _ETA_BLOCK = 512
 # the inner points the polar route's outer nodes may take together
 _POLAR_MAX_EVALS = 10**7
 
-# truncated domains: rho in [0, _CUTOFF] for the radial integrals, the square
-# [-_BOX, _BOX]^2, folded to one quadrant, for the Cartesian route
+# the largest truncated domains: rho in [0, _CUTOFF] for the radial
+# integrals, the square [-_BOX, _BOX]^2, folded to one quadrant, for the
+# Cartesian route. Each route integrates over the least domain whose tail
+# bound is at most _TAIL_SHARE of tol (_domains), within these caps
 _CUTOFF = 100.0
 _BOX = 14.0
+# the share of tol the truncation may take: three orders below the request,
+# so the quadrature's own estimate still dominates the error
+_TAIL_SHARE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -169,47 +174,75 @@ def _solve(integrate, f, domain, pref, tail, tol, inner=None) -> QuadResult:
     )
 
 
-def _cutoff_tail(bound: float, rate: float) -> float:
-    """The integral over [_CUTOFF, inf) of bound e^{-rate rho}."""
-    return bound * math.exp(-rate * _CUTOFF) / rate
+def _cutoff_tail(bound: float, rate: float, cutoff: float) -> float:
+    """The integral over [cutoff, inf) of bound e^{-rate rho}."""
+    return bound * math.exp(-rate * cutoff) / rate
 
 
-def _radial_tail() -> float:
-    """The Bessel and polar routes' bound on rho > _CUTOFF, read at call time:
-    |argsinh(cos)| <= argsinh(1), and pi |J0| <= pi bounds the theta integral."""
-    return _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0)
+def _radial_tail(cutoff: float) -> float:
+    """The Bessel and polar routes' bound on rho > cutoff: |argsinh(cos)| <=
+    argsinh(1), and pi |J0| <= pi bounds the theta integral."""
+    return _PREFACTOR_BESSEL * _cutoff_tail(_ASINH1, 1.0, cutoff)
+
+
+def _box_tail(box: float) -> float:
+    """The Cartesian route's bound on the plane outside [-box, box]^2, with
+    the plane prefactor folded in: the Gaussian tail of |argsinh(cos)|
+    e^{-rho} <= argsinh(1) e^{-(x^2+y^2)/4} beyond |x| or |y| = box."""
+    return 8.0 * _ASINH1 * math.sqrt(math.pi) / box * math.exp(-box * box / 4.0)
+
+
+def _domains(tol: float) -> tuple[float, float]:
+    """The radial cutoff C and the Cartesian half-side B at tol: the least
+    at which the tail bound, for B its form without the factor 1/B, is at
+    most tol * _TAIL_SHARE, capped at _CUTOFF and _BOX (read at call time)
+    and floored at 1.
+
+    _radial_tail(C) = pref asinh(1) e^{-C}, so C = log(pref asinh(1) /
+    (tol share)). For B >= 1, _box_tail(B) <= 8 asinh(1) sqrt(pi)
+    e^{-B^2/4}, so B = 2 sqrt(log(8 asinh(1) sqrt(pi) / (tol share))). At
+    tol 1e-9 they are 27.40 and 10.98. The caps bind below tol 3e-41 and
+    7e-18. The floor keeps a domain, and B >= 1, above tol 292 and 9,733,
+    where the rule would give less; there the tail at 1, charged in full,
+    exceeds tol * _TAIL_SHARE."""
+    log_room = math.log(tol) + math.log(_TAIL_SHARE)  # tol may be subnormal
+    c = math.log(_PREFACTOR_BESSEL * _ASINH1) - log_room
+    b = 2.0 * math.sqrt(max(0.0, math.log(8.0 * _ASINH1 * math.sqrt(math.pi)) - log_room))
+    return min(_CUTOFF, max(1.0, c)), min(_BOX, max(1.0, b))
 
 
 def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as (2 sqrt2 / pi^2) times the polar double integral over
-    [0, _CUTOFF] x [0, pi] of argsinh(cos(eta(2 rho - 1))) e^{-rho}
-    cos(rho sin theta), with the radial tail charged to the error.
+    [0, C] x [0, pi] of argsinh(cos(eta(2 rho - 1))) e^{-rho}
+    cos(rho sin theta), C the cutoff of _domains at tol, with the radial tail
+    charged to the error.
 
     The outer rho-integral is adaptive, by integrate_1d at tol/2. At each of
     its nodes the inner theta-integral, pi J0(rho), is a periodic trapezoid
     sum of M = 2h points (_trapezoid), h set before any evaluation
     (_trapezoid_counts) so that the sum's bound B times asinh(1) e^{-rho},
-    which bounds the radial factor, is at most tau = tol / (2 pref _CUTOFF).
+    which bounds the radial factor, is at most tau = tol / (2 pref C).
     Each node's sum is within B + pi eps (h + 9 rho + 9) of pi J0(rho), the
     second term its rounding, with each sine and cosine within 2 ulps. The
     K15 weights are positive and sum to each panel's width, so the outer sum
-    carries at most _CUTOFF times the largest asinh(1) e^{-rho} times that,
-    over the nodes evaluated: a bound of at most tol/2 plus the rounding,
-    which the error estimate adds to the outer K15-G7 estimate. evaluations
-    counts the distinct inner points, h + 1 per outer node, summed over the
-    outer nodes. There may be at most _POLAR_MAX_EVALS: an outer integrand
-    call that would pass that raises NonConvergenceError before it is
+    carries at most C times the largest asinh(1) e^{-rho} times that, over
+    the nodes evaluated: a bound of at most tol/2 plus the rounding, which
+    the error estimate adds to the outer K15-G7 estimate. evaluations counts
+    the distinct inner points, h + 1 per outer node, summed over the outer
+    nodes. There may be at most _POLAR_MAX_EVALS: an outer integrand call
+    that would pass that raises NonConvergenceError before it is
     evaluated."""
     check_tol("tol", tol)
     eta = family.eta
+    cutoff, _ = _domains(tol)
     # log(tau / asinh 1): a node's target is tau e^rho / asinh 1
-    log_tau = math.log(min(tol / _PREFACTOR, 1e308)) - math.log(2.0 * _CUTOFF * _ASINH1)
+    log_tau = math.log(min(tol / _PREFACTOR, 1e308)) - math.log(2.0 * cutoff * _ASINH1)
     budget, worst, most_h = _Budget(_POLAR_MAX_EVALS), -math.inf, 0
 
     def f(rho):
         nonlocal worst, most_h
         h, log_bound = _trapezoid_counts(rho, log_tau + rho)
-        budget.spend(int(h.sum()) + h.size, 0.0, _CUTOFF, tol)
+        budget.spend(int(h.sum()) + h.size, 0.0, cutoff, tol)
         worst = max(worst, float((log_bound - rho).max()))
         most_h = max(most_h, int(h.max()))
         return _radial(eta, rho) * _trapezoid(rho, h)
@@ -218,41 +251,45 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
         # the largest e^{-rho} B, and e^{-rho} (h + 9 rho + 9) <= h + 9, each
         # a maximum over the nodes, so neither depends on how they were split
         most = math.exp(worst) + math.pi * _EPS * (most_h + 9)
-        return _CUTOFF * _ASINH1 * most, budget.spent
+        return cutoff * _ASINH1 * most, budget.spent
 
     return _solve(
-        integrate_1d, f, (0.0, _CUTOFF), _PREFACTOR, _radial_tail(), tol, inner=inner
+        integrate_1d, f, (0.0, cutoff), _PREFACTOR, _radial_tail(cutoff), tol, inner=inner
     )
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     """Phi(i)/i as the plane integral of
     argsinh(cos(eta(2 rho - 1))) e^{-rho} cos(xy/2) / (sqrt2 pi^2),
-    rho = (x^2+y^2)/4, folded to [0, _BOX]^2 (the integrand is even in x
-    and in y separately)."""
+    rho = (x^2+y^2)/4, folded to [0, B]^2 (the integrand is even in x and in
+    y separately), B the half-side of _domains at tol, with the Gaussian
+    tail outside the square charged to the error."""
+    check_tol("tol", tol)
     eta = family.eta
 
     def f(x, y):
         return _radial(eta, (x * x + y * y) / 4.0) * np.cos(x * y / 2.0)
 
-    # Gaussian tail outside the box, with the plane prefactor folded in;
-    # _BOX = 14 puts this near 1e-22
-    tail = 8.0 * _ASINH1 * math.sqrt(math.pi) / _BOX * math.exp(-_BOX * _BOX / 4.0)
-    return _solve(integrate_2d, f, ((0.0, _BOX), (0.0, _BOX)), _PREFACTOR, tail, tol)
+    _, box = _domains(tol)
+    return _solve(
+        integrate_2d, f, ((0.0, box), (0.0, box)), _PREFACTOR, _box_tail(box), tol
+    )
 
 
 def phi_i_bessel(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
-    """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral over
-    [0, _CUTOFF] of argsinh(cos(eta(2 rho - 1))) e^{-rho} J0(rho); the theta
-    integral collapses to pi J0(rho). The tail beyond _CUTOFF is charged to
-    the error."""
+    """Phi(i)/i as (2 sqrt2 / pi) times the 1D radial integral over [0, C]
+    of argsinh(cos(eta(2 rho - 1))) e^{-rho} J0(rho), C the cutoff of
+    _domains at tol; the theta integral collapses to pi J0(rho). The tail
+    beyond C is charged to the error."""
+    check_tol("tol", tol)
     eta = family.eta
 
     def g(rho):
         return _radial(eta, rho) * bessel_j0(rho)
 
+    cutoff, _ = _domains(tol)
     return _solve(
-        integrate_1d, g, (0.0, _CUTOFF), _PREFACTOR_BESSEL, _radial_tail(), tol
+        integrate_1d, g, (0.0, cutoff), _PREFACTOR_BESSEL, _radial_tail(cutoff), tol
     )
 
 

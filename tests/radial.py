@@ -30,5 +30,5 @@ def phi_real_t(family, t, tol=1e-9):
         )
 
     # |arcsin(t cos)| <= arcsin|t| and e^{-x} I0(x) <= 1
-    tail = pref * _cutoff_tail(math.asin(abs(t)), rate)
+    tail = pref * _cutoff_tail(math.asin(abs(t)), rate, _CUTOFF)
     return _solve(integrate_1d, g, (0.0, _CUTOFF), pref, tail, tol)

@@ -91,6 +91,15 @@ class TestVerifyCommand:
             assert report["inputs"]["method"] == "fourier"
             assert report["pass"] is (code == 0)
 
+    @pytest.mark.parametrize("method", ["polar", "cartesian", "bessel"])
+    def test_loose_tolerance_passes(self, capsys, method):
+        # at tol 1e-3 each route's truncation tail is at most 1e-6, far below
+        # the margin of 5.1e-4
+        code, out, _ = run_cli(capsys, ["verify", "--eta", "0.228", "--method", method,
+                                        "--tol", "1e-3"])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_cartesian_budget_covers_nested_solve(self, capsys):
         # tens of millions of evaluations at eta 20: the one budget of 10^7
         # for the whole 2D solve stops it, where per-pass budgets did not

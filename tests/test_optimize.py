@@ -138,7 +138,8 @@ class TestGridScan:
 
     def test_no_quadrature_through_traced_name(self, monkeypatch):
         # the traced benchmark run rebinds phi.integrate_1d to count solves:
-        # the Bessel route makes one, a sweep none
+        # the Bessel route makes one, a sweep none. At tol 1e-9 the solve
+        # over [0, 27.40] takes 8 panels, then splits 2 of them: 120 + 60
         calls = []
 
         def recording(*args, **kwargs):
@@ -146,7 +147,7 @@ class TestGridScan:
             return integrate_1d(*args, **kwargs)
 
         monkeypatch.setattr(signcorr.phi, "integrate_1d", recording)
-        assert phi_i_bessel(RotationFamily(0.228)).evaluations == 300
+        assert phi_i_bessel(RotationFamily(0.228)).evaluations == 180
         assert len(calls) == 1
         calls.clear()
         grid_scan(0.0, 0.5, 50)

@@ -445,7 +445,7 @@ class TestLockstep:
         self, monkeypatch
     ):
         # at eta 1.2, tol 1e-12, _BLOCK = 1 gives the error estimate
-        # 0x1.9cfc6e64d75d2p-43 against 0x1.9cfc6e64d75e4p-43: each outer
+        # 0x1.cb644f2b088f7p-43 against 0x1.cb644f2b088f9p-43: each outer
         # call solves its inner integrals as one batch, so the block decides
         # which inner rows share a round, and dgemv's sum of a row depends
         # on its place there
