@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._common import METHODS, check_finite, check_tol
-from .quad import _EPS, NonConvergenceError, QuadResult, _Budget
+from .quad import _EPS, NonConvergenceError, QuadResult
 from .quad import integrate_1d, integrate_2d
 from .specfun import bessel_j0
 
@@ -54,9 +54,6 @@ _MAX_SAMPLES = 2**20
 # the etas one harmonic sum takes at once, so its arrays hold at most this
 # many rows of K terms, however many etas a grid has
 _ETA_BLOCK = 512
-
-# the inner points the polar route's outer nodes may take together
-_POLAR_MAX_EVALS = 10**7
 
 # the largest truncated domains: rho in [0, _CUTOFF] for the radial
 # integrals, the square [-_BOX, _BOX]^2, folded to one quadrant, for the
@@ -106,72 +103,54 @@ def _radial(eta: float, rho):
     return np.arcsinh(np.cos(eta * (2.0 * rho - 1.0))) * np.exp(-rho)
 
 
-@functools.cache
-def _strips():
-    """The strip half-widths a = 1/8 .. 8 over which the polar route's inner
-    point counts are least, as a column, and sinh a: built on first use, so
-    that importing the module builds no array."""
-    a = 2.0 ** np.arange(-3.0, 4.0)[:, None]
-    return a, np.sinh(a)
+def _trapezoid(rho, h: int):
+    """At each node, the 2h-point trapezoid sum of int_0^pi cos(rho sin
+    theta) dtheta (= pi J0(rho)), from its h + 1 distinct points theta_j =
+    j pi / 2h: theta and pi - theta give the same sine, so the sum is pi / h
+    times the sum over j, less half the ends theta = 0 (cosine 1) and pi/2.
+    Each row is summed on its own, so a node's bits do not depend on the
+    other nodes.
+
+    The integrand has period pi and is entire, and on |Im theta| <= asinh 1
+    it is at most cosh(rho sinh asinh 1) = cosh(rho). So the sum is within
+    2 pi cosh(rho) / (e^{4 h asinh 1} - 1) + pi eps (h + 9 rho + 9) of
+    pi J0(rho): the first term the rule's (Trefethen and Weideman, SIAM
+    Review 2014, Thm 3.2, on the period), the second its rounding. With each
+    sine and cosine within 2 ulps, theta_j, its sine and rho times that are
+    within 4 eps relative, so each cosine is within eps (4 rho + 2), and the
+    h weights of pi / h carry that as pi eps (4 rho + 2). The row sum, in
+    any order, errs by at most h eps/2 times its h + 1 terms' moduli, pi eps
+    (h + 1) / 2 after scaling; the ends, the subtraction and the scaling by
+    a rounded pi / h add at most pi eps (4 + 1/h). In all at most
+    pi eps (4 rho + h/2 + 7)."""
+    v = np.cos(rho[:, None] * np.sin(np.arange(h + 1) * math.pi / (2 * h)))
+    return (v.sum(axis=1) - 0.5 * (1.0 + v[:, h])) * (math.pi / h)
 
 
-def _trapezoid_counts(rho, log_target):
-    """Per node, the least even M >= 2 for which the M-point trapezoid sum
-    of int_0^pi cos(rho sin theta) dtheta (= pi J0(rho)) errs by at most
-    e^log_target, as M/2, and the log of the bound on its error at that M.
-
-    The integrand has period pi and is entire; on |Im theta| <= a it is at
-    most cosh(rho sinh a). So M points err by at most
-    2 pi cosh(rho sinh a) / (e^{2aM} - 1) (Trefethen and Weideman, SIAM
-    Review 2014, Thm 3.2, on the period), and M is the least over the strips
-    a of _strips(), as is the bound at that M. All in log space: cosh
-    overflows at rho = 100. Both are functions of each node's rho and target
-    alone."""
-    a, sinh_a = _strips()
-    x = sinh_a * rho  # rho sinh a, one row per strip
-    log_size = math.log(math.pi) + x + np.log1p(np.exp(-2.0 * x))  # 2 pi cosh x
-    # e^{2aM} - 1 >= X, X = e^need, is 2aM >= log(1 + X)
-    need = log_size - log_target
-    h = np.maximum(np.ceil(np.logaddexp(0.0, need) / (4.0 * a)).min(axis=0), 1.0)
-    y = 4.0 * a * h
-    log_bound = (log_size - y - np.log(-np.expm1(-y))).min(axis=0)
-    return h.astype(np.int64), log_bound
+def _trapezoid_count(tol: float, cutoff: float) -> int:
+    """The polar route's one trapezoid count at tol and cutoff C: the least
+    h >= 1 with asinh(1) 2 pi / (e^{4 asinh(1) h} - 1) <= tau =
+    tol / (2 pref C), which is 4 asinh(1) h >= log(1 + X) for
+    X = 2 pi asinh(1) / tau. In logs, as _domains takes its rule, so a
+    subnormal tol gives a finite h: 8 at tol 1e-9, 213 at 5e-324."""
+    log_x = math.log(4.0 * math.pi * _ASINH1 * _PREFACTOR * cutoff) - math.log(tol)
+    log1p_x = max(log_x, 0.0) + math.log1p(math.exp(-abs(log_x)))
+    return max(1, math.ceil(log1p_x / (4.0 * _ASINH1)))
 
 
-def _trapezoid(rho, h):
-    """Per node, the 2h-point trapezoid sum of int_0^pi cos(rho sin theta)
-    dtheta, from its h + 1 distinct points theta_j = j pi / 2h: theta and
-    pi - theta give the same sine, so the sum is pi / h times the sum over
-    j, less half the ends theta = 0 (cosine 1) and pi/2. Each node's sum
-    comes from its own points alone, in one order, so its bits do not depend
-    on the other nodes."""
-    ends = np.cumsum(h + 1)
-    j = np.arange(ends[-1]) - np.repeat(ends - h - 1, h + 1)
-    step = (0.5 * math.pi) / h
-    v = np.cos(np.repeat(rho, h + 1) * np.sin(j * np.repeat(step, h + 1)))
-    return (np.add.reduceat(v, ends - h - 1) - 0.5 * (1.0 + v[ends - 1])) * (2.0 * step)
-
-
-def _solve(integrate, f, domain, pref, tail, tol, inner=None) -> QuadResult:
+def _solve(integrate, f, domain, pref, tail, tol) -> QuadResult:
     """pref times the integral of f over domain (the interval arguments of
     integrate) to tolerance tol in result units. The error estimate is pref
     times the quadrature's, plus tail, a bound in result units on what the
-    truncated domain leaves out. An f that sums an inner integral at each of
-    its nodes, sized for tol/2, passes inner; the quadrature then gets the
-    other tol/2, and inner returns after the solve a bound in f's units on
-    what those sums' errors add to it, charged with pref, and the sums'
-    evaluations, which the result reports in place of the nodes."""
+    truncated domain leaves out."""
     check_tol("tol", tol)
     # at an eta near the float maximum the phase overflows and its cosine is
     # NaN, which the quadrature reports as non-convergence in its first round,
     # so a numpy warning would only repeat it. tol / pref may overflow where
     # tol does not, and 1e308 already accepts every panel
     with np.errstate(over="ignore", invalid="ignore"):
-        r = integrate(f, *domain, min(tol / pref * (0.5 if inner else 1.0), 1e308))
-    bound, evaluations = inner() if inner else (0.0, r.evaluations)
-    return QuadResult(
-        pref * r.value, pref * (r.error_estimate + bound) + tail, evaluations
-    )
+        r = integrate(f, *domain, min(tol / pref, 1e308))
+    return QuadResult(pref * r.value, pref * r.error_estimate + tail, r.evaluations)
 
 
 def _cutoff_tail(bound: float, rate: float, cutoff: float) -> float:
@@ -218,44 +197,31 @@ def phi_i_polar(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
     charged to the error.
 
     The outer rho-integral is adaptive, by integrate_1d at tol/2. At each of
-    its nodes the inner theta-integral, pi J0(rho), is a periodic trapezoid
-    sum of M = 2h points (_trapezoid), h set before any evaluation
-    (_trapezoid_counts) so that the sum's bound B times asinh(1) e^{-rho},
-    which bounds the radial factor, is at most tau = tol / (2 pref C).
-    Each node's sum is within B + pi eps (h + 9 rho + 9) of pi J0(rho), the
-    second term its rounding, with each sine and cosine within 2 ulps. The
-    K15 weights are positive and sum to each panel's width, so the outer sum
-    carries at most C times the largest asinh(1) e^{-rho} times that, over
-    the nodes evaluated: a bound of at most tol/2 plus the rounding, which
-    the error estimate adds to the outer K15-G7 estimate. evaluations counts
-    the distinct inner points, h + 1 per outer node, summed over the outer
-    nodes. There may be at most _POLAR_MAX_EVALS: an outer integrand call
-    that would pass that raises NonConvergenceError before it is
-    evaluated."""
+    its nodes the inner theta-integral, pi J0(rho), is the periodic
+    trapezoid sum of _trapezoid, one count h for the whole solve, set from
+    tol before any evaluation (_trapezoid_count). The radial factor is at
+    most asinh(1) e^{-rho}, and e^{-rho} cosh(rho) <= 1, so asinh(1)
+    e^{-rho} times each node's rule error is at most tau = tol / (2 pref C),
+    and its rounding at most asinh(1) pi eps (h + 9). The K15 weights are
+    positive and sum to C, so the inner sums add at most tol/2 plus
+    pref C asinh(1) pi eps (h + 9) to the result, which the error estimate
+    adds to the outer solve's. evaluations counts the distinct inner points,
+    h + 1 at each outer node, which integrate_1d's budget bounds."""
     check_tol("tol", tol)
     eta = family.eta
     cutoff, _ = _domains(tol)
-    # log(tau / asinh 1): a node's target is tau e^rho / asinh 1
-    log_tau = math.log(min(tol / _PREFACTOR, 1e308)) - math.log(2.0 * cutoff * _ASINH1)
-    budget, worst, most_h = _Budget(_POLAR_MAX_EVALS), -math.inf, 0
+    h = _trapezoid_count(tol, cutoff)
 
     def f(rho):
-        nonlocal worst, most_h
-        h, log_bound = _trapezoid_counts(rho, log_tau + rho)
-        budget.spend(int(h.sum()) + h.size, 0.0, cutoff, tol)
-        worst = max(worst, float((log_bound - rho).max()))
-        most_h = max(most_h, int(h.max()))
         return _radial(eta, rho) * _trapezoid(rho, h)
 
-    def inner():
-        # the largest e^{-rho} B, and e^{-rho} (h + 9 rho + 9) <= h + 9, each
-        # a maximum over the nodes, so neither depends on how they were split
-        most = math.exp(worst) + math.pi * _EPS * (most_h + 9)
-        return cutoff * _ASINH1 * most, budget.spent
-
-    return _solve(
-        integrate_1d, f, (0.0, cutoff), _PREFACTOR, _radial_tail(cutoff), tol, inner=inner
+    # halved after _solve divides by pref: tol/2 is 0 at the least subnormal
+    r = _solve(
+        lambda g, a, b, t: integrate_1d(g, a, b, t / 2.0),
+        f, (0.0, cutoff), _PREFACTOR, _radial_tail(cutoff), tol,
     )
+    charge = 0.5 * tol + _PREFACTOR * cutoff * _ASINH1 * math.pi * _EPS * (h + 9)
+    return QuadResult(r.value, r.error_estimate + charge, (h + 1) * r.evaluations)
 
 
 def phi_i_cartesian(family: RotationFamily, tol: float = 1e-9) -> QuadResult:
@@ -321,11 +287,12 @@ def _harmonics(g, bound, q, p, s, pref, tol):
     lmax = pref / math.sqrt(abs(p * s))
     scale = 2.0 * bound * lmax  # term m is at most scale q^m
     qq = q * q
-    # the smallest K whose tail, scale q^{2K+1} / (1 - q^2), is at most tol/2
-    room = tol * (1.0 - qq) / (2.0 * scale)
+    # the smallest K whose tail, scale q^{2K+1} / (1 - q^2), is at most tol/2,
+    # with log(tol (1 - q^2) / (2 scale)) as a sum of logs: tol may be subnormal
+    log_room = math.log(tol) + math.log(1.0 - qq) - math.log(2.0 * scale)
     k = 1
-    if q > 0.0 and room < 1.0:
-        k = max(1, math.ceil((math.log(room) / math.log(q) - 1.0) / 2.0))
+    if q > 0.0 and log_room < 0.0:
+        k = max(1, math.ceil((log_room / math.log(q) - 1.0) / 2.0))
     tail = scale * q ** (2 * k + 1) / (1.0 - qq)
     n = 8
     while True:
@@ -334,7 +301,7 @@ def _harmonics(g, bound, q, p, s, pref, tol):
                 scale * (q ** (n - 2 * k + 1) + q ** (n + 1)) * (1.0 - qq**k)
                 / ((1.0 - qq) * (1.0 - q**n))
             )
-            if alias <= tol / 2.0:
+            if 2.0 * alias <= tol:  # tol / 2 is 0 at the least subnormal
                 break
         if n >= _MAX_SAMPLES:
             raise NonConvergenceError(

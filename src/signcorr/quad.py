@@ -26,7 +26,9 @@ __all__ = ["QuadResult", "NonConvergenceError", "integrate_1d", "integrate_2d"]
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral value with a conservative error estimate."""
+    """Integral value with an error estimate. A quadrature's estimate rests
+    on the K15-G7 pair difference, a heuristic that can fall short, not a
+    proven bound (see the README)."""
 
     value: float
     error_estimate: float

@@ -91,6 +91,14 @@ class TestVerifyCommand:
             assert report["inputs"]["method"] == "fourier"
             assert report["pass"] is (code == 0)
 
+    @pytest.mark.parametrize("method", ["polar", "bessel", "fourier"])
+    @pytest.mark.parametrize("tol", ["5e-324", "1e-323"])
+    def test_subnormal_tolerance_passes(self, capsys, method, tol):
+        code, out, _ = run_cli(capsys, ["verify", "--eta", "0.228", "--method", method,
+                                        "--tol", tol])
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     @pytest.mark.parametrize("method", ["polar", "cartesian", "bessel"])
     def test_loose_tolerance_passes(self, capsys, method):
         # at tol 1e-3 each route's truncation tail is at most 1e-6, far below
@@ -140,6 +148,12 @@ class TestSweepCommand:
         assert "  error_estimate = " in lines[0]
         assert lines[-2].startswith("best_eta = ")
         assert lines[-1].startswith("best_value = ")
+
+    def test_subnormal_tolerance(self, capsys):
+        code, out, _ = run_cli(capsys, ["sweep", "--lo", "0", "--hi", "0.5",
+                                        "--steps", "2", "--tol", "5e-324"])
+        assert code == 0
+        assert [row["eta"] for row in json.loads(out)] == [0.0, 0.25, 0.5]
 
     def test_inverted_range_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--lo", "1", "--hi", "0"])

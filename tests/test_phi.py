@@ -109,111 +109,86 @@ class TestIntegrandPolar:
         assert np.all(np.abs(vals) <= bound + 1e-15)
 
 
-def _trapezoid_log_bound(rho, m):
-    """log of min over the strips a = 2^-3 .. 2^3 of
-    2 pi cosh(rho sinh a) / (e^{2am} - 1), the m-point trapezoid rule's error
-    bound on int_0^pi cos(rho sin theta) dtheta, one node at a time."""
-    best = math.inf
-    for a in 2.0 ** np.arange(-3, 4):
-        x = rho * math.sinh(a)
-        log_cosh = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-        y = 2.0 * a * m
-        best = min(best, math.log(2.0 * math.pi) + log_cosh - y - math.log(-math.expm1(-y)))
-    return best
+_A = math.asinh(1.0)
+
+
+def _log_rule_bound(rho, h):
+    """log of 2 pi cosh(rho) / (e^{4 h asinh 1} - 1), the 2h-point trapezoid
+    rule's error bound on int_0^pi cos(rho sin theta) dtheta on the strip
+    |Im theta| <= asinh 1, elementwise in rho: cosh overflows at rho = 100,
+    and the denominator at h = 213."""
+    y = 4.0 * _A * h
+    log_cosh = rho + np.log1p(np.exp(-2.0 * rho)) - math.log(2.0)
+    return math.log(2.0 * math.pi) + log_cosh - y - math.log(-math.expm1(-y))
+
+
+def _meets(tol, h):
+    """Whether asinh(1) 2 pi / (e^{4 asinh(1) h} - 1) <= tau =
+    tol / (2 pref C), in logs, with 1e-12 in the log for ties at a
+    breakpoint."""
+    cutoff, _ = phi._domains(tol)
+    log_tau = math.log(tol) - math.log(2.0 * phi._PREFACTOR * cutoff)
+    y = 4.0 * _A * h
+    log_lhs = math.log(2.0 * math.pi * _A) - y - math.log(-math.expm1(-y))
+    return log_lhs <= log_tau + 1e-12
+
+
+def _route_count(tol):
+    return phi._trapezoid_count(tol, phi._domains(tol)[0])
 
 
 class TestPolarTrapezoid:
     """The polar route's inner integral, pi J0(rho), by the periodic
-    trapezoid rule with an a-priori point count."""
+    trapezoid rule with one a-priori point count per solve."""
 
-    # the polar route's own targets, tau e^rho / asinh 1 at three tolerances,
-    # and flat ones, loose to tight, whose counts turn on the narrow strips
-    TARGETS = [
-        *(("polar", tol) for tol in (1e-6, 1e-9, 1e-12)),
-        *(("flat", t) for t in (10.0, 1.0, 0.1, 1e-3, 1e-8)),
-    ]
-
-    @staticmethod
-    def _log_target(kind, value, rho):
-        if kind == "flat":
-            return np.full_like(rho, math.log(value))
-        cutoff, _ = phi._domains(value)
-        log_tau = math.log(value / phi._PREFACTOR) - math.log(2.0 * cutoff * phi._ASINH1)
-        return log_tau + rho
-
-    def _nodes(self, kind, value):
-        """rho over [0, 100], with the floats on both sides of every point
-        where the count changes."""
-        rho = np.linspace(0.0, 100.0, 1001)
-        h, _ = phi._trapezoid_counts(rho, self._log_target(kind, value, rho))
-        extra = []
-        for i in np.flatnonzero(np.diff(h)):
-            lo, hi = rho[i], rho[i + 1]
-            while np.nextafter(lo, hi) < hi:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
-                pair = np.array([lo, mid])
-                hh, _ = phi._trapezoid_counts(pair, self._log_target(kind, value, pair))
-                lo, hi = (mid, hi) if hh[1] == hh[0] else (lo, mid)
-            extra += [lo, hi]
-        return np.concatenate([rho, extra])
-
-    @pytest.mark.parametrize("kind,value", TARGETS)
-    def test_sum_within_stated_bound(self, kind, value):
-        # each node's sum is within B + pi eps (h + 9 rho + 9) of pi J0(rho);
-        # scipy's j0 is allowed pi eps of its own
+    @pytest.mark.parametrize("h", [1, *map(_route_count, (1e-6, 1e-9, 1e-12))])
+    def test_sum_within_stated_bound(self, h):
+        # each node's sum is within 2 pi cosh(rho) / (e^{4 h asinh 1} - 1)
+        # + pi eps (h + 9 rho + 9) of pi J0(rho); scipy's j0 is allowed pi eps
+        # of its own
         j0 = pytest.importorskip("scipy.special").j0
-        rho = self._nodes(kind, value)
-        h, log_bound = phi._trapezoid_counts(rho, self._log_target(kind, value, rho))
+        rho = np.linspace(0.0, 100.0, 3001)
         err = np.abs(phi._trapezoid(rho, h) - math.pi * j0(rho))
-        stated = np.exp(log_bound) + math.pi * _EPS * (h + 9.0 * rho + 9.0)
+        stated = np.exp(_log_rule_bound(rho, h)) + math.pi * _EPS * (h + 9.0 * rho + 9.0)
         assert np.all(err <= stated + math.pi * _EPS)
-        assert h.min() >= 1
 
-    @pytest.mark.parametrize("kind,value", TARGETS)
-    def test_count_is_the_least_that_meets_the_target(self, kind, value):
-        # M = 2h meets the target by the bound, recomputed here, and M - 2
-        # does not; 1e-12 in the log allows for ties at a breakpoint
-        rho = self._nodes(kind, value)
-        log_target = self._log_target(kind, value, rho)
-        h, log_bound = phi._trapezoid_counts(rho, log_target)
-        for r, k, lt, lb in zip(rho.tolist(), h.tolist(), log_target.tolist(),
-                                log_bound.tolist()):
-            assert lb == pytest.approx(_trapezoid_log_bound(r, 2 * k), abs=1e-12)
-            assert _trapezoid_log_bound(r, 2 * k) <= lt + 1e-12
-            if k > 1:
-                assert _trapezoid_log_bound(r, 2 * k - 2) > lt - 1e-12
+    def test_count_is_the_least_that_meets_tau(self):
+        for tol in [*np.geomspace(1e-3, 1e-300, 301).tolist(), 1e-310, 1e-320, 5e-324]:
+            h = _route_count(tol)
+            assert _meets(tol, h), tol
+            assert h == 1 or not _meets(tol, h - 1), tol
+
+    @pytest.mark.parametrize(
+        "tol,h", [(1e-6, 6), (1e-9, 8), (1e-12, 10), (1e-14, 11), (5e-324, 213), (1e4, 1)]
+    )
+    def test_count_at_these_tolerances(self, tol, h):
+        assert _route_count(tol) == h
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
-    def test_route_takes_these_targets(self, monkeypatch, tol):
-        # the route's per-node targets are tau e^rho / asinh 1 with its own
-        # cutoff, the one that its tail and inner charge take
-        seen, counts = [], phi._trapezoid_counts
+    def test_route_takes_the_count(self, monkeypatch, tol):
+        seen, trapezoid = set(), phi._trapezoid
 
-        def recording(rho, log_target):
-            seen.append((rho, log_target))
-            return counts(rho, log_target)
+        def recording(rho, h):
+            seen.add(h)
+            return trapezoid(rho, h)
 
-        monkeypatch.setattr(phi, "_trapezoid_counts", recording)
+        monkeypatch.setattr(phi, "_trapezoid", recording)
         phi_i_polar(RotationFamily(0.228), tol)
-        for rho, log_target in seen:
-            np.testing.assert_array_equal(log_target, self._log_target("polar", tol, rho))
+        assert seen == {_route_count(tol)}
 
     def test_folded_sum_is_the_full_sum(self):
         # h + 1 distinct points give the 2h-point sum over the whole period
         rho = np.array([0.0, 0.3, 1.0, 2.5, 7.0, 19.0, 60.0, 100.0])
-        for h in (1, 2, 3, 8, 21):
-            hs = np.full(rho.size, h)
+        for h in (1, 2, 3, 8, 21, 213):
             theta = np.arange(2 * h) * (math.pi / (2 * h))
             full = np.cos(rho[:, None] * np.sin(theta)).sum(axis=1) * (math.pi / (2 * h))
-            np.testing.assert_allclose(phi._trapezoid(rho, hs), full, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(phi._trapezoid(rho, h), full, rtol=0, atol=1e-13)
 
-    def test_sum_of_a_node_does_not_depend_on_the_others(self):
+    @pytest.mark.parametrize("h", [1, 8, 11, 213])
+    def test_sum_of_a_node_does_not_depend_on_the_others(self, h):
         rho = np.linspace(0.0, 100.0, 301)
-        h, _ = phi._trapezoid_counts(rho, np.full(rho.size, math.log(1e-10)))
         together = phi._trapezoid(rho, h)
-        alone = [phi._trapezoid(rho[i : i + 1], h[i : i + 1])[0] for i in range(rho.size)]
+        alone = [phi._trapezoid(rho[i : i + 1], h)[0] for i in range(rho.size)]
         assert [v.hex() for v in together.tolist()] == [v.hex() for v in alone]
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -222,38 +197,32 @@ class TestPolarTrapezoid:
         fam = RotationFamily(eta)
         r, ref = phi_i_polar(fam, tol), phi_i_fourier(fam, 1e-14)
         assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
-        # the inner sums' charge, the route's cutoff times the largest
-        # weighted bound, is at most tol/2, as is the outer estimate
+        # the inner sums' charge is tol/2 and a rounding term of about
+        # 1e-13, and the outer estimate is sized for the other tol/2
         assert r.error_estimate <= tol
 
-    def test_inner_budget_refused_before_evaluation(self, monkeypatch):
-        # a budget of the first outer call's points: the second call raises
-        # before any of its sums is taken
-        points, trapezoid = [], phi._trapezoid
-
-        def counting(rho, h):
-            points.append(int(h.sum()) + h.size)
-            return trapezoid(rho, h)
-
-        monkeypatch.setattr(phi, "_trapezoid", counting)
-        phi_i_polar(RotationFamily(0.228))
-        first, points[:] = points[0], []
-        monkeypatch.setattr(phi, "_POLAR_MAX_EVALS", first)
-        with pytest.raises(NonConvergenceError, match=f"within {first} evaluations"):
-            phi_i_polar(RotationFamily(0.228))
-        assert points == [first]
-
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("eta", [0.228, 5.0])
-    def test_evaluations_count_the_distinct_points(self, monkeypatch, eta):
-        points, trapezoid = [], phi._trapezoid
+    def test_estimate_and_evaluations(self, monkeypatch, eta, tol):
+        # the outer solve runs at half of tol / pref; the estimate is its own,
+        # scaled, plus the radial tail, tol/2 for the inner sums and their
+        # rounding, and every outer node takes h + 1 inner points
+        outer, integrate = [], phi.integrate_1d
 
-        def counting(rho, h):
-            points.append(int(h.sum()) + h.size)
-            return trapezoid(rho, h)
+        def recording(f, a, b, t):
+            outer.append((t, integrate(f, a, b, t)))
+            return outer[-1][1]
 
-        monkeypatch.setattr(phi, "_trapezoid", counting)
-        r = phi_i_polar(RotationFamily(eta))
-        assert r.evaluations == sum(points)
+        monkeypatch.setattr(phi, "integrate_1d", recording)
+        r = phi_i_polar(RotationFamily(eta), tol)
+        ((t, inner),) = outer
+        pref, cutoff, h = phi._PREFACTOR, phi._domains(tol)[0], _route_count(tol)
+        assert t == tol / pref / 2.0
+        assert r.value == pref * inner.value
+        assert r.evaluations == (h + 1) * inner.evaluations
+        charge = tol / 2.0 + pref * cutoff * _A * math.pi * _EPS * (h + 9)
+        expected = pref * inner.error_estimate + phi._radial_tail(cutoff) + charge
+        assert r.error_estimate == pytest.approx(expected, rel=1e-15)
 
 
 class TestPhiIRoutes:
@@ -324,7 +293,7 @@ class TestPhiIRoutes:
         # missed at tol 1e-6 by 3.13e-7 at eta 5 (estimate 7.77e-8) and by
         # 2.17e-7 at eta 20 (estimate 5.28e-8). Over the cutoff of _domains
         # it is 6.38e-9 and 7.19e-8 off (estimates 1.92e-7, 1.85e-7), and
-        # phi_i_polar 4.74e-9 at eta 5 (estimate 6.02e-7)
+        # phi_i_polar 3.94e-9 at eta 5 (estimate 6.04e-7)
         misses = []
         for eta, routes in ((5.0, (phi_i_bessel, phi_i_polar)), (20.0, (phi_i_bessel,))):
             family = RotationFamily(eta)
@@ -606,7 +575,7 @@ class TestDomains:
         which is not run: at tol 1e-300 no solve would converge."""
         seen = []
 
-        def recording(integrate, f, domain, pref, tail, tol, inner=None):
+        def recording(integrate, f, domain, pref, tail, tol):
             seen.append((domain, tail))
             return QuadResult(0.0, 0.0, 0)
 
@@ -724,6 +693,25 @@ class TestNonFiniteIntegrand:
         with pytest.raises(NonConvergenceError):
             phi_i_bessel(RotationFamily(1e308))
         assert calls == [_MIN_PANELS * _NODES.size]
+
+
+class TestSubnormalTolerance:
+    """At the least subnormal tol, 5e-324, where tol / 2 is 0, every route
+    gives a value or a non-convergence, never a ValueError."""
+
+    @pytest.mark.parametrize("route", [phi_i_polar, phi_i_bessel, phi_i_fourier])
+    def test_route_answers(self, route):
+        r = route(RotationFamily(0.228), 5e-324)
+        assert abs(r.value - V_REF[0.228]) <= r.error_estimate
+
+    @pytest.mark.parametrize("tol", [5e-324, 1e-323])
+    def test_real_t_answers(self, tol):
+        r = phi_real_t(RotationFamily(0.228), 0.3, tol)
+        assert abs(r.value - PHI_T_REF_228_03) <= r.error_estimate
+
+    def test_cartesian_does_not_converge(self):
+        with pytest.raises(NonConvergenceError):
+            phi_i_cartesian(RotationFamily(0.228), 5e-324)
 
 
 class TestVerifyTheorem:
