@@ -8,7 +8,9 @@ has one shape: the nodes of at most _BLOCK panels, one row of 15 per panel,
 against the column of their problems. Each problem's accepted panels are
 summed by math.fsum, which is correctly rounded, so a result does not depend
 on the order in which its panels were accepted. One evaluation budget covers
-a whole solve, nested solves included.
+a whole request, nested solves included: _MAX_EVALS_1D for integrate_1d,
+_MAX_EVALS_2D for integrate_2d, each read at call time, and a refusal names
+the request's domain and tol.
 """
 
 from __future__ import annotations
@@ -78,21 +80,26 @@ _MIN_PANELS = 8
 # the panels (_BLOCK * 15 points) per integrand call, which bounds the
 # integrand's temporaries
 _BLOCK = 128
+# each request's evaluation budget, read at call time
+_MAX_EVALS_1D = 10**6
+_MAX_EVALS_2D = 10**7
 
 
 class _Budget:
-    """Evaluations left for one whole solve, nested solves included."""
+    """Evaluations left for one whole request, nested solves included."""
 
-    def __init__(self, max_evals: int):
+    def __init__(self, max_evals: int, domain: str, tol: float):
         self.max_evals = max_evals
+        self.domain = domain
+        self.tol = tol
         self.spent = 0
 
-    def spend(self, n: int, a: float, b: float, tol: float) -> None:
+    def spend(self, n: int) -> None:
         if self.spent + n > self.max_evals:
             raise NonConvergenceError(
-                f"no convergence on [{a}, {b}] within {self.max_evals} "
+                f"no convergence on {self.domain} within {self.max_evals} "
                 f"evaluations: {self.spent} spent, the next round needs {n} "
-                f"(tol={tol})"
+                f"(tol={self.tol})"
             )
         self.spent += n
 
@@ -131,7 +138,7 @@ def _lockstep(
     nev = 0
 
     while lo.size:
-        budget.spend(lo.size * _NODES.size, a, b, tol)
+        budget.spend(lo.size * _NODES.size)
         nev += lo.size * _NODES.size
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)
@@ -178,14 +185,7 @@ def _lockstep(
     return values, errors, nev
 
 
-def integrate_1d(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    max_evals: int = 10**6,
-) -> QuadResult:
+def integrate_1d(f: Callable, a: float, b: float, tol: float) -> QuadResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     f must accept a numpy array of abscissae and evaluate elementwise.
@@ -193,10 +193,10 @@ def integrate_1d(
     coarse panel can fool the K15-G7 estimate, and a round costs far more
     than its points. Subdivision stops per panel when the K15-G7
     discrepancy drops below tol scaled by the panel's share of the interval.
-    A round that would take the evaluations past max_evals raises
-    NonConvergenceError instead, so evaluations never exceed max_evals and
-    a max_evals below 120 is refused before any point is evaluated; so does
-    the first round in which f returns a non-finite value.
+    A round that would take the evaluations past _MAX_EVALS_1D (10^6)
+    raises NonConvergenceError, naming [a, b] and tol, before any of its
+    points is evaluated; so does the first round in which f returns a
+    non-finite value.
     """
     a, b = float(a), float(b)
     check_bracket(a, b, "<=")
@@ -205,32 +205,28 @@ def integrate_1d(
         return QuadResult(0.0, 0.0, 0)
     value, err, nev = _lockstep(
         lambda owner, x: np.reshape(f(x.ravel()), x.shape),
-        a, b, tol, 1, _Budget(max_evals),
+        a, b, tol, 1, _Budget(_MAX_EVALS_1D, f"[{a}, {b}]", tol),
     )
     return QuadResult(float(value[0]), float(err[0]), nev)
 
 
 def integrate_2d(
-    f: Callable,
-    x_range: Sequence[float],
-    y_range: Sequence[float],
-    tol: float,
-    *,
-    max_evals: int = 10**7,
+    f: Callable, x_range: Sequence[float], y_range: Sequence[float], tol: float
 ) -> QuadResult:
     """Integrate f(x, y) over a rectangle by iterated 1D quadrature.
 
     The outer (x) axis adapts over inner (y) integrals, and, as in
     integrate_1d, the outer solve and each inner one start from 8 equal
     panels. Each outer integrand call solves the inner integrals at all of
-    its nodes together. f is called as f(x_array, y_array) with a column
-    of x against the y nodes, one row per inner panel, and must evaluate
-    elementwise; a result that ignores an argument, a scalar included, is
-    broadcast back to the points. The error estimate combines the outer
-    estimate with the worst inner estimate spread over the x span;
-    evaluations counts integrand evaluations. max_evals bounds the whole
-    solve: integrand evaluations plus outer nodes. The round that would
-    pass it raises NonConvergenceError before it is evaluated.
+    its nodes together. f is called as f(x_array, y_array) with a (k, 1)
+    column of x against the (k, 15) y nodes, one row per inner panel, and
+    must return an array of the y nodes' shape; any other shape raises
+    ValueError. The error estimate combines the outer estimate with the
+    worst inner estimate spread over the x span; evaluations counts
+    integrand evaluations. _MAX_EVALS_2D (10^7) bounds the whole solve:
+    integrand evaluations plus outer nodes. The round that would pass it
+    raises NonConvergenceError, naming the rectangle and tol, before it is
+    evaluated.
     """
     xa, xb = float(x_range[0]), float(x_range[1])
     ya, yb = float(y_range[0]), float(y_range[1])
@@ -242,20 +238,15 @@ def integrate_2d(
 
     span_x = xb - xa
     inner_tol = tol / (2.0 * span_x)
-    budget = _Budget(max_evals)
+    budget = _Budget(_MAX_EVALS_2D, f"[{xa}, {xb}] x [{ya}, {yb}]", tol)
     worst_inner = 0.0
 
     def outer_integrand(_owner: np.ndarray, x: np.ndarray) -> np.ndarray:
         nonlocal worst_inner
         xs = x.ravel()
-
-        def inner(owner: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            # an f that ignores an argument returns a smaller shape; a full
-            # one skips broadcast_to, whose few microseconds a call add up
-            v = f(xs[owner], ys)
-            return v if np.shape(v) == ys.shape else np.broadcast_to(v, ys.shape)
-
-        values, errs, _ = _lockstep(inner, ya, yb, inner_tol, xs.size, budget)
+        values, errs, _ = _lockstep(
+            lambda owner, ys: f(xs[owner], ys), ya, yb, inner_tol, xs.size, budget
+        )
         worst_inner = max(worst_inner, float(errs.max()))
         return values.reshape(x.shape)
 

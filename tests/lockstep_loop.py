@@ -41,7 +41,7 @@ def lockstep(
     nev = 0
 
     while lo.size:
-        budget.spend(lo.size * _NODES.size, a, b, tol)
+        budget.spend(lo.size * _NODES.size)
         nev += lo.size * _NODES.size
         mid = 0.5 * (lo + hi)
         hw = 0.5 * (hi - lo)

@@ -116,6 +116,21 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert "within 10000000 evaluations" in err
+        assert " on [0.0, 10.982996659643339] x [0.0, 10.982996659643339] " in err
+
+    def test_cartesian_refusal_names_the_tol_of_its_request(self, capsys):
+        # tol 5e-324 over the prefactor reaches integrate_2d as 1.5e-323,
+        # whose outer solve runs at half of it, 0.0
+        code, out, err = run_cli(capsys, ["verify", "--eta", "0.228", "--method",
+                                          "cartesian", "--tol", "5e-324"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "signcorr: non-convergence: no convergence on [0.0, 14.0] x [0.0, 14.0] "
+            "within 10000000 evaluations: "
+        )
+        assert err.endswith(" (tol=1.5e-323)\n")
+        assert "tol=0.0" not in err
 
 
 class TestSweepCommand:

@@ -182,12 +182,17 @@ class TestIntegrate1d:
         r2 = integrate_2d(lambda x, y: x + y, (0.0, 1.0), (3.0, 3.0), 1e-10)
         assert r2.value == 0.0
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_1D", 500)
         with pytest.raises(NonConvergenceError):
-            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 100.0, 1e-14,
-                         max_evals=500)
-        with pytest.raises(NonConvergenceError, match="within 1000 evaluations"):
-            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 10.0, 1e-10, max_evals=1000)
+            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 100.0, 1e-14)
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_1D", 1000)
+        expected = (
+            "no convergence on [0.0, 10.0] within 1000 evaluations: 840 spent, "
+            "the next round needs 960 (tol=1e-10)"
+        )
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
+            integrate_1d(lambda x: np.cos(5000.0 * x), 0.0, 10.0, 1e-10)
 
     def test_non_finite_value_raises_in_first_round(self):
         # NaN on half the interval: reported in the round that meets it, not
@@ -206,7 +211,7 @@ class TestIntegrate1d:
             integrate_1d(f, 0.0, 1.0, 1e-12)
         assert f.points == (8 + 16) * _NODES.size
 
-    def test_first_round_is_eight_equal_panels(self):
+    def test_first_round_is_eight_equal_panels(self, monkeypatch):
         # one call takes the K15 nodes of linspace(a, b, 9); a budget below
         # that round's 120 points is refused before f sees any
         seen = []
@@ -218,8 +223,9 @@ class TestIntegrate1d:
         integrate_1d(f, -1.0, 3.0, 1e-9)
         assert np.array_equal(seen[0], k15_nodes(-1.0, 3.0).ravel())
         seen.clear()
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_1D", 119)
         with pytest.raises(NonConvergenceError, match="the next round needs 120"):
-            integrate_1d(f, -1.0, 3.0, 1e-9, max_evals=119)
+            integrate_1d(f, -1.0, 3.0, 1e-9)
         assert seen == []
 
     def test_f_receives_flat_arrays(self):
@@ -250,10 +256,11 @@ class TestIntegrate1d:
 
     # 200 lies between one round (120 points) and two, so it refuses round 2
     @pytest.mark.parametrize("max_evals", [15, 100, 200, 1000, 3000])
-    def test_budget_never_exceeded(self, max_evals):
+    def test_budget_never_exceeded(self, monkeypatch, max_evals):
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_1D", max_evals)
         f = CountingIntegrand(lambda x: np.cos(300.0 * x) * np.exp(-x))
         try:
-            r = integrate_1d(f, 0.0, 10.0, 1e-12, max_evals=max_evals)
+            r = integrate_1d(f, 0.0, 10.0, 1e-12)
         except NonConvergenceError:
             pass
         else:
@@ -294,14 +301,12 @@ class TestIntegrate2d:
 
     @pytest.mark.parametrize(
         "f,truth",
-        [(lambda x, y: np.exp(-y), 2.0 * (1.0 - math.exp(-3.0))),
-         (lambda x, y: np.cos(x), 3.0 * math.sin(2.0)),
-         (lambda x, y: 1.5, 9.0)],
-        ids=["ignores_x", "ignores_y", "ignores_both"],
+        [(lambda x, y: np.exp(-y), 2.0 * (1.0 - math.exp(-3.0)))],
+        ids=["ignores_x"],
     )
     def test_integrand_may_ignore_an_argument(self, f, truth):
         # an inner call passes x as a (k, 1) column against (k, 15) y nodes,
-        # so such an f returns shape (k, 15), (k, 1) or a scalar
+        # so an f of y alone still returns the y nodes' shape
         counted = CountingIntegrand(f)
         r = integrate_2d(counted, (0.0, 2.0), (0.0, 3.0), 1e-10)
         both = integrate_2d(lambda x, y: f(x, y) + 0.0 * (x + y),
@@ -309,6 +314,21 @@ class TestIntegrate2d:
         assert r.value == pytest.approx(truth, abs=1e-10)
         assert (r.value, r.evaluations) == (both.value, both.evaluations)
         assert r.evaluations == counted.points
+
+    @pytest.mark.parametrize(
+        "f,shape",
+        [(lambda x, y: np.cos(x), (_BLOCK, 1)), (lambda x, y: 1.5, ())],
+        ids=["ignores_y", "ignores_both"],
+    )
+    def test_integrand_of_another_shape_is_refused(self, f, shape):
+        # f must return the y nodes' shape; a (k, 1) column or a scalar is
+        # not broadcast back to the points
+        expected = (
+            f"integrand returned shape {shape} for points of shape "
+            f"{(_BLOCK, _NODES.size)}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            integrate_2d(f, (0.0, 2.0), (0.0, 3.0), 1e-10)
 
     def test_outer_first_round_is_eight_equal_panels(self):
         # the outer round's 120 nodes are the K15 nodes of linspace(xa, xb, 9),
@@ -341,21 +361,35 @@ class TestIntegrate2d:
                 integrate_2d(lambda x, y: np.ones_like(x * y), *ranges, 1e-9)
 
 
-    def test_budget_covers_whole_nested_solve(self):
+    def test_budget_covers_whole_nested_solve(self, monkeypatch):
         # the polar double integral's integrand at eta 0.228, solved in 2D,
         # takes 36,000 integrand evaluations at 300 outer nodes; each 1D
         # pass alone needs far less
         f = CountingIntegrand(lambda rho, th: _integrand_polar(0.228, rho, th))
         for max_evals in (20_000, 36_299):
+            monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_2D", max_evals)
             f.points = 0
             with pytest.raises(NonConvergenceError):
-                integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
-                             max_evals=max_evals)
+                integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9)
             assert f.points <= max_evals
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_2D", 36_000 + 300)
         f.points = 0
-        r = integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9,
-                         max_evals=36_000 + 300)
+        r = integrate_2d(f, (0.0, 100.0), (0.0, math.pi), 1e-9)
         assert r.evaluations == f.points == 36_000
+
+    # at 5e-324 the outer solve's tol / 2 is 0.0; the refusal names the tol
+    # integrate_2d was given, not that of the solve the round belongs to
+    @pytest.mark.parametrize("tol", [1e-9, 5e-324])
+    def test_refusal_names_rectangle_and_tol(self, monkeypatch, tol):
+        monkeypatch.setattr(signcorr.quad, "_MAX_EVALS_2D", 20_000)
+        f = lambda rho, th: _integrand_polar(0.228, rho, th)
+        expected = (
+            r"^no convergence on \[0\.0, 100\.0\] x \[0\.0, 3\.141592653589793\] "
+            r"within 20000 evaluations: \d+ spent, the next round needs \d+ "
+            + re.escape(f"(tol={tol})") + "$"
+        )
+        with pytest.raises(NonConvergenceError, match=expected):
+            integrate_2d(f, (0.0, 100.0), (0.0, math.pi), tol)
 
 
 class TestLockstep:
@@ -394,7 +428,9 @@ class TestLockstep:
         def f(owner, x):
             return np.exp(-rate[owner] * x) * np.cos(freq[owner] * x)
 
-        values, errs, nev = _lockstep(f, 0.0, 20.0, tol, rate.size, _Budget(10**6))
+        values, errs, nev = _lockstep(
+            f, 0.0, 20.0, tol, rate.size, _Budget(10**6, "[0.0, 20.0]", tol)
+        )
         solo_evals = 0
         for i in range(rate.size):
             solo = integrate_1d(lambda x: f(np.full(x.shape, i), x), 0.0, 20.0, tol)
@@ -411,7 +447,8 @@ class TestLockstep:
         inner_tol = 1e-9 / (2.0 * 100.0)
         values, errs, _ = _lockstep(
             lambda owner, th: np.cos(rho[owner] * np.sin(th)),
-            0.0, math.pi, inner_tol, rho.size, _Budget(10**7),
+            0.0, math.pi, inner_tol, rho.size,
+            _Budget(10**7, "[0.0, 3.141592653589793]", inner_tol),
         )
         exact = math.pi * bessel_j0(rho)
         assert np.all(np.abs(values - exact) <= inner_tol)
@@ -488,7 +525,7 @@ class TestLockstep:
             return np.cos(30.0 * (1.0 + owner) * x)
 
         problems = _BLOCK // 8 + 3
-        _lockstep(f, 0.0, 10.0, 1e-12, problems, _Budget(10**6))
+        _lockstep(f, 0.0, 10.0, 1e-12, problems, _Budget(10**6, "[0.0, 10.0]", 1e-12))
         for own, pts in calls:
             k = pts.shape[0]
             assert own.shape == (k, 1) and pts.shape == (k, _NODES.size)
@@ -506,7 +543,7 @@ class TestLockstep:
         monkeypatch.setattr(signcorr.quad, "_BLOCK", 2)
         with pytest.raises(ValueError):
             _lockstep(lambda owner, x: np.ones(_NODES.size), 0.0, 1.0, 1e-9,
-                      3, _Budget(10**6))
+                      3, _Budget(10**6, "[0.0, 1.0]", 1e-9))
 
     def test_short_result_after_round_one_raises(self):
         # every call passes (k, 15) nodes; one panel's 15 values would fill
@@ -519,7 +556,7 @@ class TestLockstep:
             return v if len(calls) == 1 else v[0]
 
         with pytest.raises(ValueError, match="integrand returned shape"):
-            _lockstep(f, 0.0, 10.0, 1e-12, 3, _Budget(10**6))
+            _lockstep(f, 0.0, 10.0, 1e-12, 3, _Budget(10**6, "[0.0, 10.0]", 1e-12))
         assert calls == [(24, _NODES.size), (48, _NODES.size)]
 
     def test_non_finite_value_in_later_block_names_its_point(self, monkeypatch):
@@ -533,13 +570,14 @@ class TestLockstep:
         x = 0.5625 + 0.0625 * _NODES
         expected = f"non-finite integrand value nan at {x[0]} on [0.0, 1.0]"
         with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}$"):
-            _lockstep(f, 0.0, 1.0, 1e-9, 3, _Budget(10**6))
+            _lockstep(f, 0.0, 1.0, 1e-9, 3, _Budget(10**6, "[0.0, 1.0]", 1e-9))
         assert f.points == (8 + 8 + 6) * _NODES.size
 
     def test_budget_checked_before_each_round(self):
         f = CountingIntegrand(lambda owner, x: np.cos(50.0 * x) + 0.0 * owner)
-        budget = _Budget(400)
-        with pytest.raises(NonConvergenceError, match="within 400 evaluations"):
+        budget = _Budget(400, "[0.0, 10.0]", 1e-12)
+        expected = "no convergence on [0.0, 10.0] within 400 evaluations: 360 spent"
+        with pytest.raises(NonConvergenceError, match=f"^{re.escape(expected)}"):
             _lockstep(f, 0.0, 10.0, 1e-12, 3, budget)
         assert f.points == budget.spent <= 400
 
